@@ -69,4 +69,5 @@ from .tilings import (
     tiling_verify,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The word kernel (polybox.words) is internal to the layers above.
+__all__ = [name for name in dir() if not name.startswith("_") and name != "words"]

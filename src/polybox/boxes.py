@@ -5,14 +5,18 @@ factor i are canonically 0..n_i-1 and a subset of a factor is stored as an
 int bit mask.  A box is a product of one nonempty subset per factor.  Two
 boxes are dichotomous when some factor of one is the exact complement of the
 same factor of the other; all higher layers are built on that predicate.
+The factor masks of a box are its word in the kernel (polybox.words), with
+each factor's full mask as the complement flip.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
+from . import words as kernel
 from .errors import SpaceMismatch
 
 # Subsets must fit one machine word; the enumeration algorithms are
@@ -73,17 +77,16 @@ class BoxSpace:
     def full_mask(self, i: int) -> int:
         return (1 << self.dims[i]) - 1
 
+    @cached_property
+    def full_masks(self) -> tuple[int, ...]:
+        """Every factor's full mask: the complement flip of box words."""
+        return tuple((1 << n) - 1 for n in self.dims)
+
     def complement(self, i: int, mask: int) -> int:
         return self.full_mask(i) ^ mask
 
     def points(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(n) for n in self.dims))
-
-    def point_count(self) -> int:
-        c = 1
-        for n in self.dims:
-            c *= n
-        return c
 
 
 @dataclass(frozen=True)
@@ -139,24 +142,13 @@ def same_space(a: Box, b: Box) -> BoxSpace:
 def is_dichotomous(a: Box, b: Box) -> bool:
     """True iff some factor of a is the exact complement of b's."""
     space = same_space(a, b)
-    return any(
-        am == space.complement(i, bm)
-        for i, (am, bm) in enumerate(zip(a.factors, b.factors))
-    )
+    return kernel.dichotomous(a.factors, b.factors, space.full_masks)
 
 
 def is_twin_pair(a: Box, b: Box) -> bool:
     """True iff a and b agree in all factors but one, complementary there."""
     space = same_space(a, b)
-    twin_at = None
-    for i, (am, bm) in enumerate(zip(a.factors, b.factors)):
-        if am == bm:
-            continue
-        if am == space.complement(i, bm) and twin_at is None:
-            twin_at = i
-        else:
-            return False
-    return twin_at is not None
+    return kernel.twin_at(a.factors, b.factors, space.full_masks) is not None
 
 
 def complement_action(a: Box, eps: EpsilonVector) -> Optional[Box]:
@@ -167,28 +159,16 @@ def complement_action(a: Box, eps: EpsilonVector) -> Optional[Box]:
     """
     if len(eps) != a.space.d:
         raise ValueError("epsilon length does not match the space dimension")
-    factors = []
-    for i, (m, e) in enumerate(zip(a.factors, eps)):
-        if e:
-            m = a.space.complement(i, m)
-            if m == 0:
-                return None
-        factors.append(m)
-    return Box(a.space, tuple(factors))
+    factors = tuple(
+        m ^ f if e else m for m, f, e in zip(a.factors, a.space.full_masks, eps)
+    )
+    return None if 0 in factors else Box(a.space, factors)
 
 
 def epsilon_of(a: Box, b: Box) -> Optional[tuple[int, ...]]:
     """The eps with a^eps = b, or None when b is not in a's complement class."""
     space = same_space(a, b)
-    eps = []
-    for i, (am, bm) in enumerate(zip(a.factors, b.factors)):
-        if bm == am:
-            eps.append(0)
-        elif bm == space.complement(i, am):
-            eps.append(1)
-        else:
-            return None
-    return tuple(eps)
+    return kernel.epsilon(a.factors, b.factors, space.full_masks)
 
 
 def simple_suit(c: Box) -> list[Box]:

@@ -10,10 +10,9 @@ coefficient by coefficient.
 
 from __future__ import annotations
 
-import itertools
-from collections import defaultdict
 from dataclasses import dataclass
 
+from . import words as kernel
 from .boxes import Box, BoxSpace
 from .errors import SpaceMismatch
 from .suits import Suit
@@ -57,30 +56,16 @@ def project_box(a: Box) -> CanonicalForm:
     """Expand one proper box over the basis; at most 2^d signed terms."""
     if not a.is_proper:
         raise ValueError("only proper boxes are projected")
-    space = a.space
-    per_factor: list[list[tuple[int, int]]] = []
-    for i, m in enumerate(a.factors):
-        if m & 1:
-            per_factor.append([(m, 1)])
-        else:
-            per_factor.append([(space.full_mask(i), 1), (space.complement(i, m), -1)])
-    coeffs: dict[BasisKey, int] = defaultdict(int)
-    for combo in itertools.product(*per_factor):
-        key = tuple(t[0] for t in combo)
-        sign = 1
-        for t in combo:
-            sign *= t[1]
-        coeffs[key] += sign
-    return CanonicalForm(space, {k: v for k, v in coeffs.items() if v})
+    return CanonicalForm(a.space, kernel.expand([a.factors], a.space.full_masks))
 
 
 def canonical_form(s: Suit) -> CanonicalForm:
     """Coefficient-wise sum of the member projections."""
-    coeffs: dict[BasisKey, int] = defaultdict(int)
-    for a in s.boxes:
-        for key, value in project_box(a).coeffs.items():
-            coeffs[key] += value
-    return CanonicalForm(s.space, {k: v for k, v in coeffs.items() if v})
+    if not s.is_proper:
+        raise ValueError("only proper boxes are projected")
+    return CanonicalForm(
+        s.space, kernel.expand([a.factors for a in s.boxes], s.space.full_masks)
+    )
 
 
 def suits_equivalent(f: Suit, g: Suit) -> bool:

@@ -1,8 +1,10 @@
 """Command-line surface: JSON in, JSON out, deterministic bytes.
 
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
-domain verdict (not equivalent, not covered, not 2-extremal, premise
-failed), 2 for any input problem.  Errors are machine readable:
+domain verdict (not equivalent, not covered, not 2-extremal, a chess-board
+point meeting a plus cube), 2 for any input problem.  A tiling that is not
+2-extremal given to tiling-decompose or tiling-chessboard exits 2, since
+2-extremality is their premise.  Errors are machine readable:
 {"error": {"code": ..., "detail": ...}}.
 """
 
@@ -12,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -294,6 +295,8 @@ def _cmd_tiling_reconstruct(args) -> int:
 def _cmd_tiling_gen(args) -> int:
     if args.count < 1:
         raise InputError("count must be positive")
+    if args.d < 1:
+        raise InputError("d must be positive")
     tilings = [
         generate_two_extremal(args.d, args.seed + k) for k in range(args.count)
     ]
@@ -313,10 +316,7 @@ def _cmd_tiling_gen(args) -> int:
 def _cmd_tiling_chessboard(args) -> int:
     tiling = ser.parse_tiling(_load(args.input))
     dec = _decomposition(tiling, args)
-    try:
-        z = tuple(Fraction(s.strip()) for s in args.z.split(","))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"invalid z: {exc}") from exc
+    z = tuple(ser._fraction(s.strip(), "z") for s in args.z.split(","))
     result = chessboard_check(tiling, dec, z)
     _emit(
         ser.report(

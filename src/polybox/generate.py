@@ -14,9 +14,10 @@ import random
 import string
 from typing import Optional
 
+from . import words as kernel
 from .boxes import Box, BoxSpace
 from .genomes import Alphabet, GenomeSet, Word
-from .suits import PointSet, Suit, verify_suit
+from .suits import Suit, verify_suit
 
 
 def random_space(
@@ -68,42 +69,31 @@ def random_proper_suit(
     return verify_suit(rng.sample(leaves, k), require_proper=True)
 
 
-def _twin_positions(boxes: list[Box]) -> list[tuple[int, int, int]]:
-    out = []
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            space = boxes[i].space
-            coord = None
-            for c, (am, bm) in enumerate(zip(boxes[i].factors, boxes[j].factors)):
-                if am == bm:
-                    continue
-                if am == space.complement(c, bm) and coord is None:
-                    coord = c
-                else:
-                    coord = None
-                    break
-            if coord is not None:
-                out.append((i, j, coord))
-    return out
+def _resplit(
+    words, flip, rng: random.Random, moves: int, draw
+) -> list[tuple[int, ...]]:
+    """Resplit random twin pairs at their twin position into a letter drawn
+    by draw(position) and its complement; pairwise dichotomy and the union
+    are unchanged."""
+    words = [list(w) for w in words]
+    for _ in range(moves):
+        twins = kernel.twin_pairs(words, flip)
+        if not twins:
+            break
+        i, j, c = rng.choice(twins)
+        words[i][c] = draw(c)
+        words[j][c] = words[i][c] ^ flip[c]
+    return [tuple(w) for w in words]
 
 
 def mutate_suit(s: Suit, rng: random.Random, moves: int = 3) -> Suit:
     """Resplit random twin pairs on their own coordinate: union unchanged."""
-    boxes = list(s.boxes)
-    for _ in range(moves):
-        twins = _twin_positions(boxes)
-        if not twins:
-            break
-        i, j, c = rng.choice(twins)
-        full = s.space.full_mask(c)
-        t = rng.randrange(1, full)
-        left = list(boxes[i].factors)
-        left[c] = t
-        right = list(boxes[j].factors)
-        right[c] = full ^ t
-        boxes[i] = Box(s.space, tuple(left))
-        boxes[j] = Box(s.space, tuple(right))
-    return verify_suit(boxes)
+    flip = s.space.full_masks
+    words = _resplit(
+        [b.factors for b in s.boxes], flip, rng, moves,
+        lambda c: rng.randrange(1, flip[c]),
+    )
+    return verify_suit([Box(s.space, w) for w in words])
 
 
 def distinct_suit_pair(
@@ -116,13 +106,6 @@ def distinct_suit_pair(
         if set(first.boxes) != set(second.boxes):
             return first, second
     return None
-
-
-def random_pointset(
-    space: BoxSpace, rng: random.Random, density: float = 0.5
-) -> PointSet:
-    members = frozenset(p for p in space.points() if rng.random() < density)
-    return PointSet(space, members)
 
 
 def letter_names(n_pairs: int) -> tuple[tuple[str, str], ...]:
@@ -165,55 +148,8 @@ def random_genome(
     return mutate_genome(genome, rng, moves)
 
 
-def _twin_word_positions(
-    alphabet: Alphabet, words: list[Word]
-) -> list[tuple[int, int, int]]:
-    out = []
-    for i in range(len(words)):
-        for j in range(i + 1, len(words)):
-            coord = None
-            for c, (a, b) in enumerate(zip(words[i], words[j])):
-                if a == b:
-                    continue
-                if alphabet.complement(a) == b and coord is None:
-                    coord = c
-                else:
-                    coord = None
-                    break
-            if coord is not None:
-                out.append((i, j, coord))
-    return out
-
-
 def mutate_genome(g: GenomeSet, rng: random.Random, moves: int = 3) -> GenomeSet:
     """Substitute random twin word pairs with a fresh complementary pair."""
-    words = list(g.words)
-    letters = g.alphabet.letters()
-    for _ in range(moves):
-        twins = _twin_word_positions(g.alphabet, words)
-        if not twins:
-            break
-        i, j, c = rng.choice(twins)
-        t = rng.choice(letters)
-        left = list(words[i])
-        left[c] = t
-        right = list(words[j])
-        right[c] = g.alphabet.complement(t)
-        words[i] = tuple(left)
-        words[j] = tuple(right)
-        if len(set(words)) < len(words):
-            words[i] = tuple(g.words[i])
-            words[j] = tuple(g.words[j])
-    return GenomeSet(g.alphabet, g.d, tuple(words))
-
-
-def distinct_genome_pair(
-    alphabet: Alphabet, d: int, rng: random.Random, tries: int = 24
-) -> Optional[tuple[GenomeSet, GenomeSet]]:
-    """Two different genomes of one equivalence class, or None when unlucky."""
-    for _ in range(tries):
-        first = random_genome(alphabet, d, rng)
-        second = mutate_genome(first, rng, moves=4)
-        if set(first.words) != set(second.words):
-            return first, second
-    return None
+    letters = g.alphabet.encode(g.alphabet.letters())
+    codes = _resplit(g.codes, (1,) * g.d, rng, moves, lambda c: rng.choice(letters))
+    return GenomeSet(g.alphabet, g.d, tuple(g.alphabet.decode(w) for w in codes))

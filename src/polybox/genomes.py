@@ -12,19 +12,16 @@ covering with equal cardinality all decide the same equivalence.
 from __future__ import annotations
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
+from . import words as kernel
 from .errors import (
     CriteriaDisagree,
     GSumExceeds2d,
-    Incomplete,
     InconsistentOrientation,
-    NotDichotomous,
     NoWitness,
-    NotUnique,
     SpaceMismatch,
 )
 
@@ -54,65 +51,76 @@ class Alphabet:
                 raise ValueError(f"complementation must not fix {a!r}")
 
     @cached_property
-    def _lookup(self) -> dict[str, tuple[int, int]]:
-        table: dict[str, tuple[int, int]] = {}
-        for k, (a, b) in enumerate(self.pairs):
-            table[a] = (k, 0)
-            table[b] = (k, 1)
-        return table
+    def _code(self) -> dict[str, int]:
+        """Kernel letters: pair k as 2k+3 (positive) and 2k+2 (negative)."""
+        return {
+            s: 2 * k + 3 - pol
+            for k, pair in enumerate(self.pairs)
+            for pol, s in enumerate(pair)
+        }
+
+    @cached_property
+    def _letter(self) -> tuple[str, ...]:
+        """Letters by kernel letter; the star is the kernel letter 1."""
+        return ("", STAR) + tuple(s for a, b in self.pairs for s in (b, a))
 
     def __contains__(self, letter: str) -> bool:
-        return letter in self._lookup
+        return letter in self._code
 
     def letters(self) -> tuple[str, ...]:
         return tuple(s for pair in self.pairs for s in pair)
 
     def complement(self, letter: str) -> str:
-        k, pol = self._lookup[letter]
-        return self.pairs[k][1 - pol]
-
-    def is_positive(self, letter: str) -> bool:
-        return self._lookup[letter][1] == 0
+        return self._letter[self._code[letter] ^ 1]
 
     def positive(self, letter: str) -> str:
         """The positive representative of the letter's pair."""
-        return self.pairs[self._lookup[letter][0]][0]
+        return self._letter[self._code[letter] | 1]
 
     def sort_key(self, letter: str) -> tuple[int, int]:
-        return self._lookup[letter]
+        code = self._code[letter]
+        return (code >> 1) - 1, 1 - (code & 1)
 
     def check_word(self, w: Sequence[str]) -> Word:
         word = tuple(w)
         for s in word:
-            if s not in self._lookup:
+            if s not in self._code:
                 raise ValueError(f"letter {s!r} not in the alphabet")
         return word
 
+    def encode(self, word: Sequence[str]) -> tuple[int, ...]:
+        """The word in kernel letters (see polybox.words)."""
+        return tuple(self._code[s] for s in word)
+
+    def decode(self, code: Sequence[int]) -> Word:
+        """Inverse of encode; kernel letter 1 decodes to the star."""
+        return tuple(self._letter[x] for x in code)
+
+
+def _flip(d: int) -> tuple[int, ...]:
+    return (1,) * d
+
 
 def words_dichotomous(alphabet: Alphabet, v: Word, w: Word) -> bool:
-    return any(alphabet.complement(a) == b for a, b in zip(v, w))
+    return kernel.dichotomous(alphabet.encode(v), alphabet.encode(w), _flip(len(v)))
 
 
 def epsilon_between(alphabet: Alphabet, v: Word, w: Word) -> Optional[tuple[int, ...]]:
     """Complement pattern turning v into w, or None when w is outside v's class."""
-    eps = []
-    for a, b in zip(v, w):
-        if a == b:
-            eps.append(0)
-        elif alphabet.complement(a) == b:
-            eps.append(1)
-        else:
-            return None
-    return tuple(eps)
+    return kernel.epsilon(alphabet.encode(v), alphabet.encode(w), _flip(len(v)))
 
 
 @dataclass(frozen=True)
 class GenomeSet:
-    """Pairwise dichotomous words of one length over one alphabet."""
+    """Pairwise dichotomous words of one length over one alphabet.
+
+    `codes` holds the same words in kernel letters, computed once here.
+    """
 
     alphabet: Alphabet
     d: int
     words: tuple[Word, ...]
+    codes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -123,10 +131,9 @@ class GenomeSet:
             if len(w) != self.d:
                 raise ValueError(f"word {w} does not have length {self.d}")
             self.alphabet.check_word(w)
-        for i in range(len(words)):
-            for j in range(i + 1, len(words)):
-                if not words_dichotomous(self.alphabet, words[i], words[j]):
-                    raise NotDichotomous(i, j)
+        codes = tuple(self.alphabet.encode(w) for w in words)
+        object.__setattr__(self, "codes", codes)
+        kernel.require_dichotomous(codes, _flip(self.d))
 
     def __len__(self) -> int:
         return len(self.words)
@@ -161,31 +168,19 @@ class WordCanonicalForm:
         return self.d == other.d and self.coeffs == other.coeffs
 
 
+def _word_form(alphabet: Alphabet, d: int, codes) -> WordCanonicalForm:
+    coeffs = kernel.expand(codes, _flip(d))
+    return WordCanonicalForm(d, {alphabet.decode(k): c for k, c in coeffs.items()})
+
+
 def word_expand(alphabet: Alphabet, v: Sequence[str]) -> WordCanonicalForm:
     """Expand a word by replacing each negative letter s with * - s'."""
     word = alphabet.check_word(v)
-    per_pos: list[list[tuple[str, int]]] = []
-    for s in word:
-        if alphabet.is_positive(s):
-            per_pos.append([(s, 1)])
-        else:
-            per_pos.append([(STAR, 1), (alphabet.complement(s), -1)])
-    coeffs: dict[Word, int] = defaultdict(int)
-    for combo in itertools.product(*per_pos):
-        key = tuple(t[0] for t in combo)
-        sign = 1
-        for t in combo:
-            sign *= t[1]
-        coeffs[key] += sign
-    return WordCanonicalForm(len(word), {k: c for k, c in coeffs.items() if c})
+    return _word_form(alphabet, len(word), [alphabet.encode(word)])
 
 
 def genome_canonical(w: GenomeSet) -> WordCanonicalForm:
-    coeffs: dict[Word, int] = defaultdict(int)
-    for word in w.words:
-        for key, value in word_expand(w.alphabet, word).coeffs.items():
-            coeffs[key] += value
-    return WordCanonicalForm(w.d, {k: c for k, c in coeffs.items() if c})
+    return _word_form(w.alphabet, w.d, w.codes)
 
 
 def word_index(w: GenomeSet, u: Sequence[str]) -> int:
@@ -201,19 +196,8 @@ def word_index(w: GenomeSet, u: Sequence[str]) -> int:
     for s in u:
         if s != STAR and s not in alphabet:
             raise ValueError(f"letter {s!r} not in the alphabet")
-    total = 0
-    for member in w.words:
-        term = 1
-        for s, t in zip(u, member):
-            if s == STAR or s == t:
-                continue
-            if alphabet.complement(s) == t:
-                term = -term
-            else:
-                term = 0
-                break
-        total += term
-    return total
+    code = tuple(1 if s == STAR else alphabet._code[s] for s in u)
+    return kernel.index(code, w.codes, _flip(w.d))
 
 
 class CoverResult(NamedTuple):
@@ -232,17 +216,17 @@ def covers(v: Sequence[str], w: GenomeSet) -> CoverResult:
     on a complementary one, and ignores unrelated letters; for a genuine
     genome the sum can never exceed 2^d.
     """
-    alphabet = w.alphabet
-    v = alphabet.check_word(v)
+    v = w.alphabet.check_word(v)
     if len(v) != w.d:
         raise ValueError("word has wrong length")
+    code = w.alphabet.encode(v)
     total = 0
-    for member in w.words:
+    for member in w.codes:
         g = 1
-        for s, t in zip(v, member):
+        for s, t in zip(code, member):
             if s == t:
                 g *= 2
-            elif alphabet.complement(s) == t:
+            elif s ^ t == 1:
                 g = 0
                 break
         total += g
@@ -252,15 +236,12 @@ def covers(v: Sequence[str], w: GenomeSet) -> CoverResult:
     return CoverResult(total == bound, bound - total, total)
 
 
-def _index_word_universe(v: GenomeSet, w: GenomeSet) -> Iterable[Word]:
-    """Starred positive index words restricted to letters occurring per position."""
-    alphabet = v.alphabet
-    per_pos = []
-    for i in range(v.d):
-        reps = {
-            alphabet.positive(word[i]) for word in v.words + w.words
-        }
-        per_pos.append([STAR] + sorted(reps, key=alphabet.sort_key))
+def _index_word_universe(v: GenomeSet, w: GenomeSet) -> Iterable[tuple[int, ...]]:
+    """Starred positive index words, in kernel letters, restricted to
+    letters occurring per position."""
+    per_pos = [
+        [1] + sorted({code[i] | 1 for code in v.codes + w.codes}) for i in range(v.d)
+    ]
     return itertools.product(*per_pos)
 
 
@@ -273,13 +254,15 @@ def _check_comparable(v: GenomeSet, w: GenomeSet):
 
 def equivalent_by_canon(v: GenomeSet, w: GenomeSet) -> bool:
     _check_comparable(v, w)
-    return genome_canonical(v) == genome_canonical(w)
+    return kernel.expand(v.codes, _flip(v.d)) == kernel.expand(w.codes, _flip(w.d))
 
 
 def equivalent_by_index(v: GenomeSet, w: GenomeSet) -> bool:
     _check_comparable(v, w)
+    flip = _flip(v.d)
     return all(
-        word_index(v, u) == word_index(w, u) for u in _index_word_universe(v, w)
+        kernel.index(u, v.codes, flip) == kernel.index(u, w.codes, flip)
+        for u in _index_word_universe(v, w)
     )
 
 
@@ -310,8 +293,9 @@ def genomes_equivalent(v: GenomeSet, w: GenomeSet) -> bool:
 
 def class_members_in(w: GenomeSet, u: Word) -> list[Word]:
     """Members of w lying in u's complement class."""
+    code, flip = w.alphabet.encode(u), _flip(w.d)
     return [
-        x for x in w.words if epsilon_between(w.alphabet, u, x) is not None
+        x for x, c in zip(w.words, w.codes) if kernel.epsilon(code, c, flip) is not None
     ]
 
 
@@ -349,7 +333,7 @@ def induced_decomposition(
         signs.append(sign)
     for i in range(len(w.words)):
         for j in range(i + 1, len(w.words)):
-            eps = epsilon_between(w.alphabet, w.words[i], w.words[j])
+            eps = kernel.epsilon(w.codes[i], w.codes[j], _flip(w.d))
             if eps is None:
                 continue
             expected = signs[i] * (-1) ** sum(eps)
@@ -382,64 +366,9 @@ def reconstruct_minus(
     d = w_plus.d
     if expected_size != 1 << d:
         raise ValueError("reconstruction is supported for genomes of size 2^d only")
-    if len(w_plus) > expected_size:
-        raise ValueError("fragment larger than the expected genome")
     alphabet = universe if universe is not None else w_plus.alphabet
-    for word in w_plus.words:
-        alphabet.check_word(word)
-
-    members = list(w_plus.words)
-    m = len(members)
-    full_hit = (1 << m) - 1
-
-    cand: list[list[tuple[str, int]]] = []
-    for i in range(d):
-        letters: set[str] = set()
-        for word in members:
-            letters.add(word[i])
-            letters.add(alphabet.complement(word[i]))
-        entries = []
-        for s in sorted(letters, key=alphabet.sort_key):
-            hit = 0
-            comp = alphabet.complement(s)
-            for k, word in enumerate(members):
-                if word[i] == comp:
-                    hit |= 1 << k
-            entries.append((s, hit))
-        cand.append(entries)
-
-    suffix_or = [0] * (d + 1)
-    for i in range(d - 1, -1, -1):
-        pos_or = 0
-        for _, hit in cand[i]:
-            pos_or |= hit
-        suffix_or[i] = suffix_or[i + 1] | pos_or
-
-    found: list[Word] = []
-    prefix: list[str] = []
-
-    def rec(i: int, mask: int):
-        if mask | suffix_or[i] != full_hit:
-            return
-        if i == d:
-            if mask == full_hit:
-                found.append(tuple(prefix))
-            return
-        for letter, hit in cand[i]:
-            prefix.append(letter)
-            rec(i + 1, mask | hit)
-            prefix.pop()
-
-    rec(0, 0)
-
-    missing = expected_size - m
-    if len(found) < missing:
-        raise Incomplete(f"found {len(found)} of {missing} missing words")
-    if len(found) > missing:
-        raise NotUnique(f"found {len(found)} candidates for {missing} slots")
-    try:
-        GenomeSet(alphabet, d, tuple(members) + tuple(found))
-    except NotDichotomous as exc:
-        raise NotUnique("candidates do not extend the fragment to one genome") from exc
-    found.sort(key=lambda word: tuple(alphabet.sort_key(s) for s in word))
-    return GenomeSet(alphabet, d, tuple(found))
+    members = [alphabet.encode(alphabet.check_word(word)) for word in w_plus.words]
+    found = kernel.complete(members, _flip(d))
+    # x ^ 1 orders kernel letters as sort_key orders letters
+    found.sort(key=lambda code: tuple(x ^ 1 for x in code))
+    return GenomeSet(alphabet, d, tuple(alphabet.decode(code) for code in found))

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
+from . import words as kernel
 from .boxes import Box, BoxSpace, complement_action, same_space
 from .errors import (
     BudgetExceeded,
@@ -35,17 +36,7 @@ def phi(c: Box, a: Box) -> int:
     space = same_space(c, a)
     if not a.is_proper:
         raise ValueError("phi is defined on proper boxes only")
-    sign = 1
-    for i, (cm, am) in enumerate(zip(c.factors, a.factors)):
-        if cm == space.full_mask(i):
-            continue
-        if am == cm:
-            continue
-        if am == space.complement(i, cm):
-            sign = -sign
-        else:
-            return 0
-    return sign
+    return kernel.index(c.factors, [a.factors], space.full_masks)
 
 
 def eta(b: Box, a: Box) -> int:
@@ -62,7 +53,10 @@ def eta(b: Box, a: Box) -> int:
 
 def suit_index(s: Suit, c: Box) -> int:
     """Sum of phi(c, .) over the suit; for c = X this is just |s|."""
-    return sum(phi(c, a) for a in s.boxes)
+    same_space(c, s.boxes[0])
+    if not s.is_proper:
+        raise ValueError("phi is defined on proper boxes only")
+    return kernel.index(c.factors, [a.factors for a in s.boxes], s.space.full_masks)
 
 
 def index_representatives(

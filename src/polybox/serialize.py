@@ -9,6 +9,7 @@ exact.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Sequence
 
@@ -17,7 +18,7 @@ from .canon import CanonicalForm
 from .errors import InputError
 from .genomes import Alphabet, GenomeSet, WordCanonicalForm
 from .suits import PointSet, Suit
-from .tilings import Cube, TorusTiling, value_letter
+from .tilings import Cube, TorusTiling
 
 VERSION = "1"
 
@@ -35,6 +36,8 @@ def loads(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError("invalid JSON: nested too deeply") from exc
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
     return obj
@@ -179,8 +182,13 @@ def serialize_genome(g: GenomeSet) -> dict:
     }
 
 
+# The documented rational form; rejecting exponents and decimals up front
+# keeps a short string from standing for a huge integer.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _fraction(raw: Any, where: str) -> Fraction:
-    if not isinstance(raw, str):
+    if not isinstance(raw, str) or not _RATIONAL.fullmatch(raw):
         raise InputError(f"{where}: rationals are 'p/q' strings")
     try:
         return Fraction(raw)
@@ -216,7 +224,7 @@ def serialize_cubes(d: int, cubes: Sequence[Cube]) -> dict:
         "kind": "tiling",
         "version": VERSION,
         "d": d,
-        "cubes": [[value_letter(x) for x in c] for c in cubes],
+        "cubes": [[str(x) for x in c] for c in cubes],
     }
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
 
+from . import words as kernel
 from .boxes import Box, BoxSpace, is_dichotomous
 from .errors import (
     BudgetExceeded,
@@ -75,10 +76,7 @@ class Suit:
         for b in boxes:
             if b.space != self.space:
                 raise SpaceMismatch("suit members live in different spaces")
-        for i in range(len(boxes)):
-            for j in range(i + 1, len(boxes)):
-                if not is_dichotomous(boxes[i], boxes[j]):
-                    raise NotDichotomous(i, j)
+        kernel.require_dichotomous([b.factors for b in boxes], self.space.full_masks)
 
     @classmethod
     def of(cls, boxes: Sequence[Box]) -> "Suit":
@@ -203,21 +201,6 @@ def _proper_boxes_at(
         box = Box(space, masks)
         if all(p in remaining for p in box.points()):
             yield box
-
-
-def _exact_partition_exists(
-    space: BoxSpace, remaining: frozenset[Point], parts_left: int, max_box: int
-) -> bool:
-    if not remaining:
-        return True
-    if parts_left <= 0 or len(remaining) > parts_left * max_box:
-        return False
-    anchor = min(remaining)
-    for box in _proper_boxes_at(space, remaining, anchor):
-        rest = remaining.difference(box.points())
-        if _exact_partition_exists(space, rest, parts_left - 1, max_box):
-            return True
-    return False
 
 
 def find_proper_partition(

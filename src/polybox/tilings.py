@@ -4,27 +4,28 @@ A tiling is 2^d unit-cube translates whose offset vectors are pairwise
 dichotomous: some coordinate differs by an odd integer mod 2.  Coordinates
 live in [0, 2) with complementation s' = s + 1 mod 2, an isomorphic
 normalization of the usual (-1, 1] alphabet.  Each coordinate value is a
-letter, so a tiling is exactly a genome of size 2^d and the word layer's
-reconstruction theorem applies verbatim.
+letter, so a tiling is exactly a genome of size 2^d, and the word kernel
+(polybox.words) checks it and reconstructs it from either half.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from . import words as kernel
 from .errors import (
     BudgetExceeded,
     CoordOutOfRange,
-    NotDichotomous,
     NotTwoExtremal,
     TheoremViolation,
     WrongCount,
 )
-from .genomes import Alphabet, GenomeSet, Word, reconstruct_minus
+from .genomes import Alphabet, GenomeSet
 
 Cube = tuple[Fraction, ...]
 
@@ -35,17 +36,59 @@ def _as_cube(raw: Sequence) -> Cube:
     cube = tuple(Fraction(x) for x in raw)
     for x in cube:
         if not 0 <= x < 2:
-            raise CoordOutOfRange(f"coordinate {x} outside [0, 2)")
+            raise CoordOutOfRange(f"coordinate {_shown(x)} outside [0, 2)")
     return cube
 
 
+def _shown(x: Fraction) -> str:
+    """x as text, or its size when it has too many digits to print."""
+    bits = max(x.numerator.bit_length(), x.denominator.bit_length())
+    return str(x) if bits <= 1024 else f"with a {bits}-bit numerator or denominator"
+
+
+def _letters(
+    cubes: Sequence[Cube],
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """The cubes as kernel words, and the pairs their letters number.
+
+    Values x and x + 1 mod 2 form one letter pair, numbered k by the
+    fractional part p mod q / q of x = p/q; x is the positive letter 2k+3
+    when its floor is even and the negative letter 2k+2 when it is odd.
+    """
+    pairs: dict[tuple[int, int], int] = {}
+    words = []
+    for c in cubes:
+        word = []
+        for x in c:
+            p, q = x.numerator, x.denominator
+            k = pairs.setdefault((p % q, q), len(pairs))
+            word.append(2 * k + 3 - (p // q & 1))
+        words.append(tuple(word))
+    return words, list(pairs)
+
+
+def _cube(word: Sequence[int], pairs: list[tuple[int, int]]) -> Cube:
+    """Inverse of _letters for values in [0, 2)."""
+    out = []
+    for x in word:
+        r, q = pairs[(x >> 1) - 1]
+        out.append(Fraction(r if x & 1 else r + q, q))
+    return tuple(out)
+
+
 def cubes_dichotomous(a: Cube, b: Cube) -> bool:
-    return any((x - y) % 2 == 1 for x, y in zip(a, b))
+    """True when some coordinate pair differs by 1 mod 2."""
+    v, w = _letters([a, b])[0]
+    return kernel.dichotomous(v, w, (1,) * len(v))
 
 
-def integral_offsets(a: Cube, b: Cube) -> bool:
-    """True when every coordinate difference is an integer mod 2."""
-    return all(((x - y) % 2).denominator == 1 for x, y in zip(a, b))
+def _offset_classes(cubes: Sequence[Cube]) -> list[list[int]]:
+    """Cube indices grouped by integral offsets: the letters of two cubes at
+    integral offsets are of the same pair at every position."""
+    classes = defaultdict(list)
+    for k, word in enumerate(_letters(cubes)[0]):
+        classes[tuple(x >> 1 for x in word)].append(k)
+    return list(classes.values())
 
 
 @dataclass(frozen=True)
@@ -63,10 +106,7 @@ class TorusTiling:
         for c in cubes:
             if len(c) != self.d:
                 raise WrongCount(f"cube {c} does not have {self.d} coordinates")
-        for i in range(len(cubes)):
-            for j in range(i + 1, len(cubes)):
-                if not cubes_dichotomous(cubes[i], cubes[j]):
-                    raise NotDichotomous(i, j)
+        kernel.require_dichotomous(_letters(cubes)[0], (1,) * self.d)
 
 
 def tiling_verify(cubes: Sequence[Sequence]) -> TorusTiling:
@@ -77,41 +117,11 @@ def tiling_verify(cubes: Sequence[Sequence]) -> TorusTiling:
     return TorusTiling(len(rows[0]), tuple(rows))
 
 
-def value_letter(x: Fraction) -> str:
-    return str(x)
-
-
-def letter_value(s: str) -> Fraction:
-    return Fraction(s)
-
-
-def coordinate_alphabet(values: Iterable[Fraction]) -> Alphabet:
-    """Letter pairs (v, v + 1 mod 2) for every value, smaller member positive."""
-    pairs = set()
-    for v in values:
-        w = (v + 1) % 2
-        pos = min(v, w)
-        pairs.add((pos, max(v, w)))
-    return Alphabet(
-        tuple(
-            (value_letter(a), value_letter(b))
-            for a, b in sorted(pairs)
-        )
-    )
-
-
-def cube_word(cube: Cube) -> Word:
-    return tuple(value_letter(x) for x in cube)
-
-
-def word_cube(word: Word) -> Cube:
-    return tuple(letter_value(s) for s in word)
-
-
 def tiling_genome(t: TorusTiling) -> GenomeSet:
     """The tiling's word set over the alphabet of occurring coordinate values."""
-    alphabet = coordinate_alphabet(x for c in t.cubes for x in c)
-    return GenomeSet(alphabet, t.d, tuple(cube_word(c) for c in t.cubes))
+    values = sorted({x % 1 for c in t.cubes for x in c})
+    alphabet = Alphabet(tuple((str(v), str(v + 1)) for v in values))
+    return GenomeSet(alphabet, t.d, tuple(tuple(map(str, c)) for c in t.cubes))
 
 
 class ExtremalityResult(NamedTuple):
@@ -124,15 +134,9 @@ class ExtremalityResult(NamedTuple):
 
 def is_two_extremal(t: TorusTiling) -> ExtremalityResult:
     """Check that every cube has exactly one partner at integral offsets."""
-    counts = [0] * len(t.cubes)
-    partners = []
-    for i in range(len(t.cubes)):
-        for j in range(i + 1, len(t.cubes)):
-            if integral_offsets(t.cubes[i], t.cubes[j]):
-                counts[i] += 1
-                counts[j] += 1
-                partners.append((i, j))
-    return ExtremalityResult(all(c == 1 for c in counts), tuple(partners))
+    classes = _offset_classes(t.cubes)
+    partners = sorted(p for c in classes for p in itertools.combinations(c, 2))
+    return ExtremalityResult(all(len(c) == 2 for c in classes), tuple(partners))
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,10 @@ class ExtremalDecomposition:
         object.__setattr__(self, "plus", tuple(_as_cube(c) for c in self.plus))
         object.__setattr__(self, "minus", tuple(_as_cube(c) for c in self.minus))
         for half in (self.plus, self.minus):
-            for a, b in itertools.combinations(half, 2):
-                if integral_offsets(a, b):
+            for c in _offset_classes(half):
+                if len(c) > 1:
                     raise NotTwoExtremal(
-                        f"partner pair {a}, {b} sits inside one half"
+                        f"partner pair {half[c[0]]}, {half[c[1]]} sits inside one half"
                     )
 
 
@@ -169,12 +173,12 @@ def decompose(
     if select not in ("lex", "seed"):
         raise ValueError(f"unknown selector {select!r}")
     rng = random.Random(seed)
+    words = _letters(t.cubes)[0]
     plus: list[Cube] = []
     minus: list[Cube] = []
     for i, j in sorted(ext.partners):
         a, b = sorted((t.cubes[i], t.cubes[j]))
-        odd = sum(1 for x, y in zip(a, b) if (x - y) % 2 == 1)
-        if odd % 2 == 0:
+        if sum(kernel.epsilon(words[i], words[j], (1,) * t.d)) % 2 == 0:
             raise TheoremViolation(f"partners {a}, {b} differ at an even pattern")
         if select == "seed" and rng.randrange(2):
             a, b = b, a
@@ -186,17 +190,19 @@ def decompose(
 def reconstruct(plus: Sequence[Sequence]) -> tuple[Cube, ...]:
     """The unique minus half determined by a plus half.
 
-    Delegates to the word layer over the alphabet of coordinate values
-    occurring in the plus half and their complements.
+    Completes the plus half in the word kernel over the coordinate values
+    occurring in it and their complements.
     """
     cubes = [_as_cube(c) for c in plus]
     if not cubes:
         raise WrongCount("an empty plus half determines nothing")
     d = len(cubes[0])
-    alphabet = coordinate_alphabet(x for c in cubes for x in c)
-    fragment = GenomeSet(alphabet, d, tuple(cube_word(c) for c in cubes))
-    minus = reconstruct_minus(fragment, 1 << d)
-    return tuple(sorted(word_cube(w) for w in minus.words))
+    if d < 1 or any(len(c) != d for c in cubes):
+        raise ValueError("plus cubes need one common dimension d >= 1")
+    words, pairs = _letters(cubes)
+    kernel.require_dichotomous(words, (1,) * d)
+    minus = kernel.complete(words, (1,) * d)
+    return tuple(sorted(_cube(w, pairs) for w in minus))
 
 
 class ChessboardResult(NamedTuple):

@@ -204,6 +204,28 @@ class TestTilingCommands:
         assert doc_a == doc_b
         assert len(doc_a["tilings"]) == 2
 
+    def test_gen_rejects_nonpositive_d(self, capsys):
+        for d in ("0", "-1"):
+            code, doc = run_json(capsys, "tiling-gen", "--d", d)
+            assert code == 2 and doc["error"]["code"] == "InputError"
+
+    def test_verify_rejects_exponent_coordinates(self, capsys, tmp_path):
+        # "1e5000" once crashed while its error message was formatted, and
+        # "1e20000000" built a 20-million-digit integer before any check
+        for raw in ("1e5000", "1e20000000"):
+            path = tmp_path / "tiling.json"
+            path.write_text(json.dumps(
+                {"kind": "tiling", "version": "1", "d": 1, "cubes": [[raw], ["0"]]}
+            ))
+            code, doc = run_json(capsys, "tiling-verify", str(path))
+            assert code == 2 and doc["error"]["code"] == "InputError"
+
+    def test_chessboard_rejects_exponent_z(self, capsys):
+        code, doc = run_json(
+            capsys, "tiling-chessboard", fx("tiling_d2.json"), "--z", "1e5000,0"
+        )
+        assert code == 2 and doc["error"]["code"] == "InputError"
+
     def test_chessboard_minus_member(self, capsys):
         code, doc = run_json(
             capsys,
@@ -248,6 +270,12 @@ class TestDeterminismAndFormats:
             capsys, "boxnum", fx("points_line.json"), "--format", "pretty"
         )
         assert code == 0 and out.startswith("{\n")
+
+    def test_deeply_nested_json_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, doc = run_json(capsys, "verify-suit", str(path))
+        assert code == 2 and doc["error"]["code"] == "InputError"
 
     def test_missing_file_is_input_error(self, capsys):
         code, doc = run_json(capsys, "canon", fx("missing.json"))

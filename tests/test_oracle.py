@@ -1,17 +1,26 @@
 from __future__ import annotations
 
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
+import polybox.oracle
 from polybox import (
+    STAR,
     Alphabet,
     Box,
     BoxSpace,
     GenomeSet,
     PointSet,
     box_number,
+    epsilon_of,
+    is_dichotomous,
+    is_twin_pair,
+    suit_index,
     union_points,
     verify_suit,
+    word_index,
 )
 from polybox.errors import BudgetExceeded
 from polybox.generate import letter_names, random_proper_suit, random_suit_for_space
@@ -172,6 +181,41 @@ class TestRealizations:
         with pytest.raises(BudgetExceeded):
             random_exact_realization(five, BoxSpace((3, 3)), rng)
 
+    def test_word_routes_match_the_realized_suit(self, rng):
+        # An exact realization keeps letter pairs apart, so every word-layer
+        # answer must equal the box-layer answer on the realized boxes.
+        from polybox.generate import random_alphabet, random_genome, random_word
+        from polybox.genomes import epsilon_between, words_dichotomous
+        from polybox.words import twin_pairs
+
+        for _ in range(40):
+            alphabet = random_alphabet(rng, max_pairs=3)
+            d = rng.randint(1, 3)
+            space = BoxSpace((4,) * d)
+            genome = random_genome(alphabet, d, rng)
+            realization = random_exact_realization(alphabet, space, rng)
+            suit = verify_suit(realization.realize(genome), require_proper=True)
+            words = list(genome.words) + [
+                random_word(alphabet, d, rng) for _ in range(4)
+            ]
+            boxes = [realization.realize_word(w) for w in words]
+            for (v, a), (w, b) in itertools.product(zip(words, boxes), repeat=2):
+                assert words_dichotomous(alphabet, v, w) == is_dichotomous(a, b)
+                assert epsilon_between(alphabet, v, w) == epsilon_of(a, b)
+            codes = [alphabet.encode(w) for w in words]
+            assert {(i, j) for i, j, _ in twin_pairs(codes, (1,) * d)} == {
+                (i, j)
+                for i, j in itertools.combinations(range(len(words)), 2)
+                if is_twin_pair(boxes[i], boxes[j])
+            }
+            per_position = [(STAR,) + alphabet.letters()] * d
+            for u in itertools.product(*per_position):
+                c = Box(space, tuple(
+                    space.full_mask(i) if s == STAR else realization.factor_maps[i][s]
+                    for i, s in enumerate(u)
+                ))
+                assert word_index(genome, u) == suit_index(suit, c)
+
     def test_validation_catches_broken_complements(self):
         with pytest.raises(ValueError):
             Realization(
@@ -179,3 +223,14 @@ class TestRealizations:
                 BoxSpace((3,)),
                 ({"a": 0b001, "a'": 0b010, "b": 0b011, "b'": 0b100},),
             )
+
+
+def test_oracle_does_not_import_the_word_kernel():
+    # the oracle must share no decision route with the code it checks
+    tree = ast.parse(Path(polybox.oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert all("words" not in a.name.split(".") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert "words" not in (node.module or "").split(".")
+            assert all(a.name != "words" for a in node.names)

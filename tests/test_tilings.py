@@ -61,6 +61,12 @@ class TestVerify:
         with pytest.raises(CoordOutOfRange):
             tiling_verify([cube(0), cube(2)])
 
+    def test_huge_out_of_range_coordinate(self):
+        # the value has more digits than int-to-str conversion allows
+        with pytest.raises(CoordOutOfRange) as info:
+            tiling_verify([["1e5000"], ["0"]])
+        assert "outside [0, 2)" in str(info.value)
+
     def test_word_layer_consistency(self, rng):
         for seed in range(10):
             t = generate_two_extremal(rng.randint(1, 3), seed)
