@@ -82,8 +82,14 @@ def polybox_equal_by_index(f: Suit, g: Suit, budget: int = DEFAULT_BUDGET) -> bo
     """Polybox equality via index agreement on all class representatives."""
     if f.space != g.space:
         raise SpaceMismatch("suits live in different spaces")
+    require_enumerable(f.space, budget, "index representative enumeration")
+    if not (f.is_proper and g.is_proper):
+        raise ValueError("phi is defined on proper boxes only")
+    flip = f.space.full_masks
+    fw = [a.factors for a in f.boxes]
+    gw = [a.factors for a in g.boxes]
     return all(
-        suit_index(f, c) == suit_index(g, c)
+        kernel.index(c.factors, fw, flip) == kernel.index(c.factors, gw, flip)
         for c in index_representatives(f.space, budget)
     )
 

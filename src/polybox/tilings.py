@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import words as kernel
 from .errors import (
@@ -28,16 +28,54 @@ from .errors import (
 from .genomes import Alphabet, GenomeSet
 
 Cube = tuple[Fraction, ...]
+Word = tuple[int, ...]
 
 MAX_GENERATED_DIM = 12
 
 
-def _as_cube(raw: Sequence) -> Cube:
-    cube = tuple(Fraction(x) for x in raw)
-    for x in cube:
-        if not 0 <= x < 2:
-            raise CoordOutOfRange(f"coordinate {_shown(x)} outside [0, 2)")
-    return cube
+def _intern(
+    rows: Iterable[Sequence],
+) -> tuple[list[Cube], list[Word], list[tuple[int, int]]]:
+    """Parse and range-check coordinate rows and intern their values.
+
+    Returns the rows as cubes, the cubes as kernel words, and the pairs
+    their letters number.  Values x and x + 1 mod 2 form one letter pair,
+    numbered k by the fractional part (p mod q, q) of x = p/q in order of
+    first occurrence; x is the positive letter 2k+3 in [0, 1) and the
+    negative letter 2k+2 in [1, 2).  A Fraction is taken as it is, each
+    distinct string is parsed once, and each distinct value is checked and
+    interned once.
+    """
+    parsed: dict[str, Fraction] = {}
+    pairs: dict[tuple[int, int], int] = {}
+    seen: dict[tuple[int, int], int] = {}
+    cubes = []
+    words = []
+    for row in rows:
+        cube = tuple(x if type(x) is Fraction else _parse(x, parsed) for x in row)
+        word = []
+        for x in cube:
+            p, q = x.numerator, x.denominator
+            letter = seen.get((p, q))
+            if letter is None:
+                if not 0 <= p < 2 * q:
+                    raise CoordOutOfRange(f"coordinate {_shown(x)} outside [0, 2)")
+                k = pairs.setdefault((p % q, q), len(pairs))
+                letter = seen[p, q] = 2 * k + 3 - p // q
+            word.append(letter)
+        cubes.append(cube)
+        words.append(tuple(word))
+    return cubes, words, list(pairs)
+
+
+def _parse(x, parsed: dict[str, Fraction]) -> Fraction:
+    """Fraction(x), parsing each distinct string once."""
+    if type(x) is not str:
+        return Fraction(x)
+    value = parsed.get(x)
+    if value is None:
+        value = parsed[x] = Fraction(x)
+    return value
 
 
 def _shown(x: Fraction) -> str:
@@ -46,72 +84,68 @@ def _shown(x: Fraction) -> str:
     return str(x) if bits <= 1024 else f"with a {bits}-bit numerator or denominator"
 
 
-def _letters(
-    cubes: Sequence[Cube],
-) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
-    """The cubes as kernel words, and the pairs their letters number.
-
-    Values x and x + 1 mod 2 form one letter pair, numbered k by the
-    fractional part p mod q / q of x = p/q; x is the positive letter 2k+3
-    when its floor is even and the negative letter 2k+2 when it is odd.
-    """
-    pairs: dict[tuple[int, int], int] = {}
-    words = []
-    for c in cubes:
-        word = []
-        for x in c:
-            p, q = x.numerator, x.denominator
-            k = pairs.setdefault((p % q, q), len(pairs))
-            word.append(2 * k + 3 - (p // q & 1))
-        words.append(tuple(word))
-    return words, list(pairs)
+def _values(pairs: Sequence[tuple[int, int]]) -> dict[int, Fraction]:
+    """The value of every letter of the pairs: the inverse of _intern."""
+    values = {}
+    for k, (r, q) in enumerate(pairs):
+        values[2 * k + 3] = Fraction(r, q)
+        values[2 * k + 2] = Fraction(r + q, q)
+    return values
 
 
-def _cube(word: Sequence[int], pairs: list[tuple[int, int]]) -> Cube:
-    """Inverse of _letters for values in [0, 2)."""
-    out = []
-    for x in word:
-        r, q = pairs[(x >> 1) - 1]
-        out.append(Fraction(r if x & 1 else r + q, q))
-    return tuple(out)
+def _ranks(values: dict[int, Fraction]) -> dict[int, int]:
+    """Each letter's rank by its value, so that words compare by these
+    ranks as their cubes compare."""
+    return {x: r for r, x in enumerate(sorted(values, key=values.__getitem__))}
 
 
 def cubes_dichotomous(a: Cube, b: Cube) -> bool:
     """True when some coordinate pair differs by 1 mod 2."""
-    v, w = _letters([a, b])[0]
+    v, w = _intern([[x % 2 for x in a], [x % 2 for x in b]])[1]
     return kernel.dichotomous(v, w, (1,) * len(v))
 
 
-def _offset_classes(cubes: Sequence[Cube]) -> list[list[int]]:
-    """Cube indices grouped by integral offsets: the letters of two cubes at
-    integral offsets are of the same pair at every position."""
+def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
+    """Word indices grouped by integral offsets of their cubes: the letters
+    of two cubes at integral offsets are of the same pair at every position.
+    Classes come in the order of their smallest index."""
     classes = defaultdict(list)
-    for k, word in enumerate(_letters(cubes)[0]):
+    for k, word in enumerate(words):
         classes[tuple(x >> 1 for x in word)].append(k)
     return list(classes.values())
 
 
 @dataclass(frozen=True)
 class TorusTiling:
-    """A validated cube tiling: 2^d pairwise dichotomous offset vectors."""
+    """A validated cube tiling: 2^d pairwise dichotomous offset vectors.
+
+    `codes` holds the cubes as kernel words and `letter_pairs` the pairs
+    (p mod q, q) their letters number, both computed once here.
+    """
 
     d: int
     cubes: tuple[Cube, ...]
+    codes: tuple[Word, ...] = field(init=False, repr=False, compare=False)
+    letter_pairs: tuple[tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
-        cubes = tuple(_as_cube(c) for c in self.cubes)
-        object.__setattr__(self, "cubes", cubes)
+        cubes, words, pairs = _intern(self.cubes)
+        object.__setattr__(self, "cubes", tuple(cubes))
         if len(cubes) != 1 << self.d:
             raise WrongCount(f"{len(cubes)} cubes; a tiling needs {1 << self.d}")
         for c in cubes:
             if len(c) != self.d:
                 raise WrongCount(f"cube {c} does not have {self.d} coordinates")
-        kernel.require_dichotomous(_letters(cubes)[0], (1,) * self.d)
+        object.__setattr__(self, "codes", tuple(words))
+        object.__setattr__(self, "letter_pairs", tuple(pairs))
+        kernel.require_dichotomous(words, (1,) * self.d)
 
 
 def tiling_verify(cubes: Sequence[Sequence]) -> TorusTiling:
     """Validate raw coordinate rows as a torus cube tiling."""
-    rows = [_as_cube(c) for c in cubes]
+    rows = [tuple(c) for c in cubes]
     if not rows:
         raise WrongCount("no cubes given")
     return TorusTiling(len(rows[0]), tuple(rows))
@@ -134,7 +168,7 @@ class ExtremalityResult(NamedTuple):
 
 def is_two_extremal(t: TorusTiling) -> ExtremalityResult:
     """Check that every cube has exactly one partner at integral offsets."""
-    classes = _offset_classes(t.cubes)
+    classes = _offset_classes(t.codes)
     partners = sorted(p for c in classes for p in itertools.combinations(c, 2))
     return ExtremalityResult(all(len(c) == 2 for c in classes), tuple(partners))
 
@@ -147,10 +181,12 @@ class ExtremalDecomposition:
     minus: tuple[Cube, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "plus", tuple(_as_cube(c) for c in self.plus))
-        object.__setattr__(self, "minus", tuple(_as_cube(c) for c in self.minus))
-        for half in (self.plus, self.minus):
-            for c in _offset_classes(half):
+        plus, plus_words, _ = _intern(self.plus)
+        minus, minus_words, _ = _intern(self.minus)
+        object.__setattr__(self, "plus", tuple(plus))
+        object.__setattr__(self, "minus", tuple(minus))
+        for half, words in ((plus, plus_words), (minus, minus_words)):
+            for c in _offset_classes(words):
                 if len(c) > 1:
                     raise NotTwoExtremal(
                         f"partner pair {half[c[0]]}, {half[c[1]]} sits inside one half"
@@ -173,36 +209,49 @@ def decompose(
     if select not in ("lex", "seed"):
         raise ValueError(f"unknown selector {select!r}")
     rng = random.Random(seed)
-    words = _letters(t.cubes)[0]
-    plus: list[Cube] = []
-    minus: list[Cube] = []
-    for i, j in sorted(ext.partners):
-        a, b = sorted((t.cubes[i], t.cubes[j]))
+    words = t.codes
+    rank = _ranks(_values(t.letter_pairs))
+    keys = [tuple(rank[x] for x in w) for w in words]
+    plus: list[int] = []
+    minus: list[int] = []
+    for i, j in ext.partners:
+        if keys[j] < keys[i]:
+            i, j = j, i
         if sum(kernel.epsilon(words[i], words[j], (1,) * t.d)) % 2 == 0:
-            raise TheoremViolation(f"partners {a}, {b} differ at an even pattern")
+            raise TheoremViolation(
+                f"partners {t.cubes[i]}, {t.cubes[j]} differ at an even pattern"
+            )
         if select == "seed" and rng.randrange(2):
-            a, b = b, a
-        plus.append(a)
-        minus.append(b)
-    return ExtremalDecomposition(tuple(sorted(plus)), tuple(sorted(minus)))
+            i, j = j, i
+        plus.append(i)
+        minus.append(j)
+    plus.sort(key=keys.__getitem__)
+    minus.sort(key=keys.__getitem__)
+    return ExtremalDecomposition(
+        tuple(t.cubes[k] for k in plus), tuple(t.cubes[k] for k in minus)
+    )
 
 
 def reconstruct(plus: Sequence[Sequence]) -> tuple[Cube, ...]:
-    """The unique minus half determined by a plus half.
+    """The unique minus half determined by a plus half of 2^(d-1) cubes.
 
     Completes the plus half in the word kernel over the coordinate values
     occurring in it and their complements.
     """
-    cubes = [_as_cube(c) for c in plus]
+    cubes, words, pairs = _intern(plus)
     if not cubes:
         raise WrongCount("an empty plus half determines nothing")
     d = len(cubes[0])
     if d < 1 or any(len(c) != d for c in cubes):
         raise ValueError("plus cubes need one common dimension d >= 1")
-    words, pairs = _letters(cubes)
+    if len(cubes) != 1 << d - 1:
+        raise WrongCount(f"{len(cubes)} cubes; a plus half needs {1 << d - 1}")
     kernel.require_dichotomous(words, (1,) * d)
     minus = kernel.complete(words, (1,) * d)
-    return tuple(sorted(_cube(w, pairs) for w in minus))
+    values = _values(pairs)
+    rank = _ranks(values)
+    minus.sort(key=lambda w: tuple(rank[x] for x in w))
+    return tuple(tuple(values[x] for x in w) for w in minus)
 
 
 class ChessboardResult(NamedTuple):
@@ -254,25 +303,38 @@ def generate_two_extremal(d: int, seed: int) -> TorusTiling:
     if d > MAX_GENERATED_DIM:
         raise BudgetExceeded(f"dimension {d} exceeds {MAX_GENERATED_DIM}")
     rng = random.Random(seed)
+    # columns[i] maps the letters at position i to their values: 3 and 2 for
+    # a base x and x + 1 (x random at position 0 and 0 above it), 5 and 4
+    # for the layer's shift s and s + 1.
+    columns: list[dict[int, Fraction]] = []
 
-    def build(dim: int) -> list[Cube]:
+    # Layers are not validated on their own.  Two cubes of a lower layer
+    # with no complementary coordinate have lifts whose last coordinates
+    # are not complementary either, so the final validation rejects them.
+    def build(dim: int) -> list[Word]:
         if dim == 1:
             c = _random_unit_fraction(rng, nonzero=False)
-            return [(c,), (c + 1,)]
+            columns.append({3: c, 2: c + 1})
+            return [(3,), (2,)]
         below = build(dim - 1)
-        tiling = TorusTiling(dim - 1, tuple(below))
-        ext = is_two_extremal(tiling)
+        classes = _offset_classes(below)
+        if any(len(c) != 2 for c in classes):
+            raise TheoremViolation(f"generated layer {dim - 1} is not 2-extremal")
         shift = _random_unit_fraction(rng, nonzero=True)
-        out: list[Cube] = []
-        for i, j in ext.partners:
-            a, b = tiling.cubes[i], tiling.cubes[j]
+        columns.append({3: Fraction(0), 2: Fraction(1), 5: shift, 4: shift + 1})
+        out: list[Word] = []
+        for i, j in classes:
+            a, b = below[i], below[j]
             if rng.randrange(2):
                 a, b = b, a
-            out.extend([a + (Fraction(0),), a + (Fraction(1),)])
-            out.extend([b + (shift,), b + (shift + 1,)])
+            out += [a + (3,), a + (2,), b + (5,), b + (4,)]
         return out
 
-    tiling = TorusTiling(d, tuple(sorted(build(d))))
+    words = build(d)
+    ranks = [_ranks(col) for col in columns]
+    words.sort(key=lambda w: tuple(rank[x] for rank, x in zip(ranks, w)))
+    cubes = (tuple(col[x] for col, x in zip(columns, w)) for w in words)
+    tiling = TorusTiling(d, tuple(cubes))
     if not is_two_extremal(tiling).two_extremal:
         raise TheoremViolation("generated tiling is not 2-extremal")
     return tiling

@@ -27,12 +27,28 @@ def dichotomous(v: Sequence[int], w: Sequence[int], flip: Word) -> bool:
 
 
 def require_dichotomous(words: Sequence[Sequence[int]], flip: Word) -> None:
-    """Raise NotDichotomous(i, j) for the first pair i < j that is not."""
+    """Raise NotDichotomous(i, j) for the first pair i < j that is not.
+
+    Each position keeps, per letter, the bitset of the words holding it;
+    the OR over positions of the bitsets of a word's complement letters is
+    the set of words dichotomous to it, so n words cost O(n d) int ops.
+    """
+    cols = []
+    for letters in zip(*words):
+        col: dict[int, int] = {}
+        bit = 1
+        for x in letters:
+            col[x] = col.get(x, 0) | bit
+            bit <<= 1
+        cols.append(col)
+    everyone = (1 << len(words)) - 1
     for i, v in enumerate(words):
-        comp = tuple(map(xor, v, flip))
-        for j in range(i + 1, len(words)):
-            if not any(map(eq, comp, words[j])):
-                raise NotDichotomous(i, j)
+        cover = 0
+        for x, f, col in zip(v, flip, cols):
+            cover |= col.get(x ^ f, 0)
+        gap = (everyone >> i + 1) & ~(cover >> i + 1)
+        if gap:
+            raise NotDichotomous(i, i + (gap & -gap).bit_length())
 
 
 def twin_at(v: Sequence[int], w: Sequence[int], flip: Word) -> Optional[int]:
@@ -121,7 +137,7 @@ def index(u: Sequence[int], words: Sequence[Sequence[int]], flip: Word) -> int:
 
 
 def complete(members: Sequence[Word], flip: Word) -> list[Word]:
-    """The words completing members to 2^d pairwise dichotomous words.
+    """The words completing members to 2^d pairwise dichotomous words (d >= 1).
 
     Searches all words whose letter at each position occurs there among the
     members or is the complement of one, and keeps those dichotomous to
@@ -144,14 +160,25 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
         cand.append([(s, having.get(s ^ f, 0)) for s in sorted(letters)])
 
     # Every position's candidates together hit every member, so no prefix
-    # can be ruled out before the word is complete.
+    # can be ruled out before the last position.  There the candidates hit
+    # disjoint sets of members, so the members not hit yet are all hit by
+    # one letter or by none: the complement of the lowest one's letter.
     found: list[Word] = []
     prefix: list[int] = []
+    last = d - 1
+    last_flip = flip[last]
+    last_hit = dict(cand[last])
 
     def rec(i: int, mask: int):
-        if i == d:
-            if mask == full_hit:
-                found.append(tuple(prefix))
+        if i == last:
+            need = full_hit & ~mask
+            if not need:
+                head = tuple(prefix)
+                found.extend(head + (x,) for x, _ in cand[last])
+            else:
+                x = members[(need & -need).bit_length() - 1][last] ^ last_flip
+                if last_hit[x] & need == need:
+                    found.append(tuple(prefix) + (x,))
             return
         for letter, hit in cand[i]:
             prefix.append(letter)

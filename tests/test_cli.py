@@ -204,6 +204,25 @@ class TestTilingCommands:
         assert doc_a == doc_b
         assert len(doc_a["tilings"]) == 2
 
+    def test_gen_output_is_pinned(self, capsys):
+        # captured before tilings moved onto int words; the generator's rng
+        # draws and its output order must not change
+        code, out = run(
+            capsys, "tiling-gen", "--d", "5", "--seed", "7", "--count", "3"
+        )
+        assert code == 0
+        assert out == (FIX / "tiling_gen_d5_seed7_count3.json").read_text()
+
+    def test_reconstruct_rejects_fragment_that_is_not_a_half(self, capsys, tmp_path):
+        for d in (3, 22):
+            path = tmp_path / "fragment.json"
+            path.write_text(json.dumps({
+                "kind": "tiling", "version": "1", "d": d,
+                "cubes": [["0"] * d, ["1"] * d],
+            }))
+            code, doc = run_json(capsys, "tiling-reconstruct", str(path))
+            assert code == 2 and doc["error"]["code"] == "WrongCount"
+
     def test_gen_rejects_nonpositive_d(self, capsys):
         for d in ("0", "-1"):
             code, doc = run_json(capsys, "tiling-gen", "--d", d)

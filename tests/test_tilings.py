@@ -133,6 +133,17 @@ class TestReconstruct:
     def test_one_dimensional(self):
         assert reconstruct([cube(0)]) == (cube(1),)
 
+    def test_rejects_fragment_that_is_not_a_half(self):
+        # a d = 3 fragment of 2 cubes once got a six-cube "minus half", and a
+        # d = 22 fragment of 2 cubes searched for longer than 20 s
+        for fragment in (
+            [cube(0, 0, 0), cube(1, 1, 1)],
+            [cube(*[0] * 22), cube(*[1] * 22)],
+            [cube(0, 0), cube(F(1, 2), 1), cube(1, 1)],
+        ):
+            with pytest.raises(WrongCount):
+                reconstruct(fragment)
+
     def test_roundtrip_on_generated_tilings(self):
         for d in (1, 2, 3):
             for seed in range(8):
