@@ -2,10 +2,12 @@
 
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 domain verdict (not equivalent, not covered, not 2-extremal, a chess-board
-point meeting a plus cube), 2 for any input problem.  A tiling that is not
-2-extremal given to tiling-decompose or tiling-chessboard exits 2, since
-2-extremality is their premise.  Errors are machine readable:
-{"error": {"code": ..., "detail": ...}}.
+point meeting a plus cube), 2 for any input problem, bad arguments and a
+bad POLYBOX_BUDGET included, and 3 for an internal fault (TheoremViolation,
+CriteriaDisagree, NoWitness), a bug whose traceback also goes to stderr.  A
+tiling that is not 2-extremal given to tiling-decompose or tiling-chessboard
+exits 2, since 2-extremality is their premise.  Exits 2 and 3 print a
+machine-readable {"error": {"code": ..., "detail": ...}} on stdout.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .indices import (
 from .oracle import points_equal
 from .suits import DEFAULT_BUDGET, Suit, box_number, union_points, verify_suit
 from .tilings import (
-    TorusTiling,
     chessboard_check,
     decompose,
     generate_two_extremal,
@@ -54,9 +55,16 @@ from .tilings import (
     reconstruct,
 )
 
-# Faults in the library itself must escape loudly instead of becoming
-# polite input errors.
+# Faults in the library itself must stay loud instead of becoming polite
+# input errors: they get their own exit code and a traceback on stderr.
 _INTERNAL = (TheoremViolation, CriteriaDisagree, NoWitness)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Turns usage errors into InputError, reported like any bad input."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
 
 
 def _read(path: str) -> str:
@@ -177,16 +185,12 @@ def _cmd_genome_canon(args) -> int:
 def _cmd_genome_equiv(args) -> int:
     v = ser.parse_genome(_load(args.a))
     w = ser.parse_genome(_load(args.b))
-    methods = {}
     if args.method == "all":
-        equal = genomes_equivalent(v, w)
-        methods = {"canon": equal, "index": equal, "cover": equal}
-    elif args.method == "canon":
-        methods["canon"] = equivalent_by_canon(v, w)
-    elif args.method == "index":
-        methods["index"] = equivalent_by_index(v, w)
+        methods = dict.fromkeys(("canon", "index", "cover"), genomes_equivalent(v, w))
     else:
-        methods["cover"] = equivalent_by_cover(v, w)
+        route = {"canon": equivalent_by_canon, "index": equivalent_by_index,
+                 "cover": equivalent_by_cover}[args.method]
+        methods = {args.method: route(v, w)}
     equal = all(methods.values())
     _emit(ser.report("genome-equiv", equal=equal, methods=methods), args.format)
     return 0 if equal else 1
@@ -252,17 +256,13 @@ def _cmd_tiling_extremal(args) -> int:
     return 0 if result.two_extremal else 1
 
 
-def _decomposition(tiling: TorusTiling, args):
-    return decompose(tiling, select=args.select, seed=args.seed)
-
-
 def _cubes_json(cubes) -> list[list[str]]:
     return [[str(x) for x in c] for c in cubes]
 
 
 def _cmd_tiling_decompose(args) -> int:
     tiling = ser.parse_tiling(_load(args.input))
-    dec = _decomposition(tiling, args)
+    dec = decompose(tiling, select=args.select, seed=args.seed)
     _emit(
         ser.report(
             "tiling-decompose",
@@ -315,7 +315,7 @@ def _cmd_tiling_gen(args) -> int:
 
 def _cmd_tiling_chessboard(args) -> int:
     tiling = ser.parse_tiling(_load(args.input))
-    dec = _decomposition(tiling, args)
+    dec = decompose(tiling, select=args.select, seed=args.seed)
     z = tuple(ser._fraction(s.strip(), "z") for s in args.z.split(","))
     result = chessboard_check(tiling, dec, z)
     _emit(
@@ -341,14 +341,14 @@ def _default_budget() -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=_default_budget(),
+    common = _Parser(add_help=False)
+    common.add_argument("--budget", type=int, default=None,
                         help="enumeration budget in bits of |X|_1 "
                              "(env override: POLYBOX_BUDGET)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("json", "pretty"), default="json")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polybox",
         description="Exact verification toolkit for dichotomous boxes, "
         "polybox invariants, word genomes, and torus cube tilings.",
@@ -433,14 +433,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    fmt = "json"
     try:
+        args = _build_parser().parse_args(argv)
+        fmt = args.format
+        if args.budget is None:
+            args.budget = _default_budget()
         return args.fn(args)
-    except _INTERNAL:
-        raise
+    except _INTERNAL as exc:
+        import traceback  # on the fault path only, to keep start-up lean
+
+        traceback.print_exc()
+        sys.stdout.write(ser.dumps(ser.error_document(exc), fmt))
+        return 3
     except PolyboxError as exc:
-        sys.stdout.write(ser.dumps(ser.error_document(exc), args.format))
+        sys.stdout.write(ser.dumps(ser.error_document(exc), fmt))
         return 2
 
 

@@ -4,7 +4,9 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from polybox.cli import main
+from polybox.errors import CriteriaDisagree, NoWitness, TheoremViolation
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -313,3 +315,68 @@ class TestDeterminismAndFormats:
         monkeypatch.setenv("POLYBOX_BUDGET", "24")
         code, doc = run_json(capsys, "boxnum", fx("points_line.json"))
         assert code == 0
+
+
+class TestArgumentAndFaultReports:
+    def test_bad_budget_env_is_input_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("POLYBOX_BUDGET", "x")
+        code, doc = run_json(capsys, "verify-suit", fx("suit_x.json"))
+        assert code == 2 and doc["error"]["code"] == "InputError"
+        assert "POLYBOX_BUDGET" in doc["error"]["detail"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("boxnum", "--budget", "abc"),
+            ("equiv", "--b", "suit_x.json"),
+            ("genome-equiv", "--a", "x", "--b", "y", "--method", "bogus"),
+            ("no-such-command",),
+            (),
+        ],
+    )
+    def test_usage_errors_are_json_input_errors(self, capsys, argv):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        assert code == 2 and doc["error"]["code"] == "InputError"
+        assert captured.err == ""
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["equiv", "--help"])
+        assert info.value.code == 0
+        assert "--method" in capsys.readouterr().out
+
+    def test_disagreeing_route_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "polybox.genomes.equivalent_by_index", lambda v, w: False
+        )
+        code = main(
+            [
+                "genome-equiv",
+                "--a",
+                fx("genome_class.json"),
+                "--b",
+                fx("genome_swapped.json"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["error"]["code"] == "CriteriaDisagree"
+        assert "Traceback" in captured.err and "CriteriaDisagree" in captured.err
+
+    @pytest.mark.parametrize("fault", [TheoremViolation, CriteriaDisagree, NoWitness])
+    def test_internal_faults_exit_3(self, capsys, monkeypatch, fault):
+        def broken(genome):
+            raise fault("broken on purpose")
+
+        monkeypatch.setattr("polybox.cli.genome_canonical", broken)
+        code = main(["genome-canon", fx("genome_class.json"), "--format", "pretty"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out.startswith("{\n")
+        assert json.loads(captured.out)["error"] == {
+            "code": fault.code,
+            "detail": "broken on purpose",
+        }
+        assert fault.__name__ in captured.err

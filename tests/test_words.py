@@ -1,10 +1,11 @@
 """The word kernel against plain routes kept here as references.
 
 `pairwise_first_clash` is the pair-by-pair dichotomy check the per-letter
-bitset version of `require_dichotomous` replaced, and `brute_complete`
+bitset version of `require_dichotomous` replaced, `brute_complete`
 enumerates every candidate word at once where `complete` searches depth
-first.  Both run on box masks (flip = full masks) and on interned letters
-(flip = 1).
+first, and `dense_index_sums` scans `index` over every starred positive
+word where `index_sums` visits only the nonzero ones.  All run on box masks
+(flip = full masks) and on interned letters (flip = 1).
 """
 
 from __future__ import annotations
@@ -13,10 +14,19 @@ import itertools
 import random
 
 import pytest
-from polybox import BoxSpace
+from polybox import BoxSpace, index_representatives, polybox_equal_by_index
 from polybox import words as kernel
 from polybox.errors import NotDichotomous, PolyboxError
-from polybox.generate import random_alphabet, random_genome, random_suit_for_space
+from polybox.generate import (
+    letter_names,
+    mutate_genome,
+    mutate_suit,
+    random_alphabet,
+    random_genome,
+    random_proper_suit,
+    random_suit_for_space,
+)
+from polybox.genomes import Alphabet, equivalent_by_index
 
 
 def pairwise_first_clash(words, flip):
@@ -174,3 +184,120 @@ class TestComplete:
         minus = [w for w in genome if w not in plus]
         assert kernel.complete(plus, flip) == minus
         assert kernel.complete(minus, flip) == plus
+
+
+def positives(letters, f):
+    return sorted({x if x & 1 else x ^ f for x in letters})
+
+
+def dense_index_sums(words, flip, letters):
+    """index over every starred positive word on the given letters, with
+    zeros dropped."""
+    universe = itertools.product(
+        *([f] + positives(s, f) for s, f in zip(letters, flip))
+    )
+    sums = {u: kernel.index(u, words, flip) for u in universe}
+    return {u: c for u, c in sums.items() if c}
+
+
+def dense_suits_equal(f, g):
+    """Index agreement scanned over every class representative."""
+    flip = f.space.full_masks
+    fw = [a.factors for a in f.boxes]
+    gw = [a.factors for a in g.boxes]
+    return all(
+        kernel.index(c.factors, fw, flip) == kernel.index(c.factors, gw, flip)
+        for c in index_representatives(f.space)
+    )
+
+
+def dense_genomes_equal(v, w):
+    """Index agreement scanned over starred positive words on the letters
+    occurring at each position."""
+    flip = (1,) * v.d
+    letters = [{c[i] for c in v.codes + w.codes} for i in range(v.d)]
+    return dense_index_sums(v.codes, flip, letters) == dense_index_sums(
+        w.codes, flip, letters
+    )
+
+
+class TestIndexSums:
+    def test_small_words_by_hand(self):
+        assert kernel.index_sums([], (1, 1)) == {}
+        assert kernel.index_sums([(3,)], (1,)) == {(1,): 1, (3,): 1}
+        assert kernel.index_sums([(2,)], (1,)) == {(1,): 1, (3,): -1}
+        assert kernel.index_sums([(3,), (2,)], (1,)) == {(1,): 2}
+        # masks in a 3-element factor: {0} is positive, {1, 2} is not
+        assert kernel.index_sums([(0b001,), (0b110,)], (0b111,)) == {(0b111,): 2}
+        assert kernel.index_sums([(0b010, 0b011)], (0b111, 0b111)) == {
+            (0b111, 0b111): 1,
+            (0b111, 0b011): 1,
+            (0b101, 0b111): -1,
+            (0b101, 0b011): -1,
+        }
+
+    def test_matches_dense_scan_on_letters(self):
+        rng = random.Random(55)
+        for _ in range(300):
+            d = rng.randint(1, 5)
+            flip = (1,) * d
+            letters = [range(2, 2 * rng.randint(1, 3) + 2)] * d
+            kind = rng.randrange(3)
+            if kind == 0:
+                n = rng.randint(0, 12)
+                words = [tuple(rng.choice(s) for s in letters) for _ in range(n)]
+            else:
+                words = genome_words(rng, d)
+                if kind == 2:
+                    words = damaged(rng, words, letters)
+            letters = [{*s, *(w[i] for w in words)} for i, s in enumerate(letters)]
+            assert kernel.index_sums(words, flip) == dense_index_sums(
+                words, flip, letters
+            )
+
+    def test_matches_dense_scan_on_masks(self):
+        rng = random.Random(56)
+        for _ in range(200):
+            d = rng.randint(1, 3)
+            words, flip = suit_words(rng, d)
+            letters = [range(1, f) for f in flip]
+            if rng.randrange(2):
+                words = damaged(rng, words, letters)
+            words = words[: rng.randint(0, len(words))]
+            assert kernel.index_sums(words, flip) == dense_index_sums(
+                words, flip, letters
+            )
+
+    def test_suit_verdicts_match_dense_route(self):
+        rng = random.Random(57)
+        verdicts = []
+        for k in range(120):
+            d = rng.randint(1, 3)
+            space = BoxSpace(tuple(rng.choice((2, 3, 4)) for _ in range(d)))
+            f = random_proper_suit(space, rng)
+            if k % 2:
+                g = mutate_suit(f, rng, moves=4)
+            else:
+                g = random_proper_suit(space, rng)
+            verdict = polybox_equal_by_index(f, g)
+            assert verdict == dense_suits_equal(f, g)
+            verdicts.append(verdict)
+        assert 60 <= sum(verdicts) < 110
+
+    def test_genome_verdicts_match_dense_route(self):
+        rng = random.Random(58)
+        verdicts = []
+        for k in range(90):
+            if k < 6:
+                d, alphabet = 6, Alphabet(letter_names(3))
+            else:
+                d, alphabet = rng.randint(1, 4), random_alphabet(rng, max_pairs=3)
+            v = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
+            if k % 2:
+                w = mutate_genome(v, rng, moves=4)
+            else:
+                w = random_genome(alphabet, d, rng, size=len(v))
+            verdict = equivalent_by_index(v, w)
+            assert verdict == dense_genomes_equal(v, w)
+            verdicts.append(verdict)
+        assert 45 <= sum(verdicts) < 80
