@@ -8,6 +8,9 @@ CriteriaDisagree, NoWitness), a bug whose traceback also goes to stderr.  A
 tiling that is not 2-extremal given to tiling-decompose or tiling-chessboard
 exits 2, since 2-extremality is their premise.  Exits 2 and 3 print a
 machine-readable {"error": {"code": ..., "detail": ...}} on stdout.
+
+Each command handler returns (exit code, document) and writes nothing;
+main alone serializes the document, error documents included, to stdout.
 """
 
 from __future__ import annotations
@@ -85,25 +88,14 @@ def _load_suit(path: str, require_proper: bool = False) -> Suit:
     return verify_suit(boxes, require_proper=require_proper)
 
 
-def _emit(doc: dict, fmt: str) -> None:
-    sys.stdout.write(ser.dumps(doc, fmt))
-
-
-def _cmd_verify_suit(args) -> int:
+def _cmd_verify_suit(args) -> tuple[int, dict]:
     suit = _load_suit(args.input, require_proper=args.proper)
-    _emit(
-        ser.report(
-            "verify-suit",
-            valid=True,
-            proper=suit.is_proper,
-            box_count=len(suit),
-        ),
-        args.format,
+    return 0, ser.report(
+        args.command, valid=True, proper=suit.is_proper, box_count=len(suit)
     )
-    return 0
 
 
-def _cmd_boxnum(args) -> int:
+def _cmd_boxnum(args) -> tuple[int, dict]:
     kind, parsed = ser.parse_point_source(_load(args.input))
     if kind == "suit":
         space, boxes = parsed
@@ -111,25 +103,20 @@ def _cmd_boxnum(args) -> int:
     else:
         points = parsed
     value = box_number(points, args.budget)
-    _emit(
-        ser.report(
-            "boxnum",
-            box_number=str(value),
-            integral=value.denominator == 1,
-            point_count=len(points),
-        ),
-        args.format,
+    return 0, ser.report(
+        args.command,
+        box_number=str(value),
+        integral=value.denominator == 1,
+        point_count=len(points),
     )
-    return 0
 
 
-def _cmd_canon(args) -> int:
+def _cmd_canon(args) -> tuple[int, dict]:
     suit = _load_suit(args.input, require_proper=True)
-    _emit(ser.serialize_canonical_form(canonical_form(suit)), args.format)
-    return 0
+    return 0, ser.serialize_canonical_form(canonical_form(suit))
 
 
-def _cmd_equiv(args) -> int:
+def _cmd_equiv(args) -> tuple[int, dict]:
     f = _load_suit(args.a, require_proper=True)
     g = _load_suit(args.b, require_proper=True)
     methods = {}
@@ -143,46 +130,37 @@ def _cmd_equiv(args) -> int:
     if len(verdicts) > 1:
         raise CriteriaDisagree(f"methods disagree: {methods}")
     equal = verdicts.pop()
-    _emit(ser.report("equiv", equal=equal, methods=methods), args.format)
-    return 0 if equal else 1
+    return 0 if equal else 1, ser.report(args.command, equal=equal, methods=methods)
 
 
-def _cmd_index(args) -> int:
+def _cmd_index(args) -> tuple[int, dict]:
     suit = _load_suit(args.suit, require_proper=True)
     try:
         raw = json.loads(args.box)
         box = Box.from_sets(suit.space, [list(s) for s in raw])
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise InputError(f"invalid box: {exc}") from exc
-    _emit(ser.report("index", index=suit_index(suit, box)), args.format)
-    return 0
+    return 0, ser.report(args.command, index=suit_index(suit, box))
 
 
-def _cmd_codes(args) -> int:
+def _cmd_codes(args) -> tuple[int, dict]:
     suit = _load_suit(args.input, require_proper=True)
-    code = even_odd_code(suit.space) if args.pattern == "eo" else more_less_code(
-        suit.space
-    )
+    code = (even_odd_code if args.pattern == "eo" else more_less_code)(suit.space)
     profile = binary_code_profile(suit, code)
-    _emit(
-        ser.report(
-            "codes",
-            pattern=args.pattern,
-            codewords=[list(w) for w in profile.codewords],
-            weight_histogram=list(profile.weight_histogram),
-        ),
-        args.format,
+    return 0, ser.report(
+        args.command,
+        pattern=args.pattern,
+        codewords=[list(w) for w in profile.codewords],
+        weight_histogram=list(profile.weight_histogram),
     )
-    return 0
 
 
-def _cmd_genome_canon(args) -> int:
+def _cmd_genome_canon(args) -> tuple[int, dict]:
     genome = ser.parse_genome(_load(args.input))
-    _emit(ser.serialize_word_canonical_form(genome_canonical(genome)), args.format)
-    return 0
+    return 0, ser.serialize_word_canonical_form(genome_canonical(genome))
 
 
-def _cmd_genome_equiv(args) -> int:
+def _cmd_genome_equiv(args) -> tuple[int, dict]:
     v = ser.parse_genome(_load(args.a))
     w = ser.parse_genome(_load(args.b))
     if args.method == "all":
@@ -192,8 +170,7 @@ def _cmd_genome_equiv(args) -> int:
                  "cover": equivalent_by_cover}[args.method]
         methods = {args.method: route(v, w)}
     equal = all(methods.values())
-    _emit(ser.report("genome-equiv", equal=equal, methods=methods), args.format)
-    return 0 if equal else 1
+    return 0 if equal else 1, ser.report(args.command, equal=equal, methods=methods)
 
 
 def _parse_word(raw: str) -> tuple[str, ...]:
@@ -203,22 +180,18 @@ def _parse_word(raw: str) -> tuple[str, ...]:
     return letters
 
 
-def _cmd_cover(args) -> int:
+def _cmd_cover(args) -> tuple[int, dict]:
     genome = ser.parse_genome(_load(args.genome))
     try:
         result = covers(_parse_word(args.word), genome)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(
-        ser.report(
-            "cover", covered=result.covered, gap=result.gap, g_sum=result.g_sum
-        ),
-        args.format,
+    return 0 if result.covered else 1, ser.report(
+        args.command, covered=result.covered, gap=result.gap, g_sum=result.g_sum
     )
-    return 0 if result.covered else 1
 
 
-def _cmd_rigidity(args) -> int:
+def _cmd_rigidity(args) -> tuple[int, dict]:
     fragment = ser.parse_genome(_load(args.plus))
     universe = None
     if args.universe:
@@ -227,72 +200,50 @@ def _cmd_rigidity(args) -> int:
         minus = reconstruct_minus(fragment, 1 << fragment.d, universe)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(ser.serialize_genome(minus), args.format)
-    return 0
+    return 0, ser.serialize_genome(minus)
 
 
-def _cmd_tiling_verify(args) -> int:
+def _cmd_tiling_verify(args) -> tuple[int, dict]:
     tiling = ser.parse_tiling(_load(args.input))
-    _emit(
-        ser.report(
-            "tiling-verify", valid=True, d=tiling.d, cube_count=len(tiling.cubes)
-        ),
-        args.format,
+    return 0, ser.report(
+        args.command, valid=True, d=tiling.d, cube_count=len(tiling.cubes)
     )
-    return 0
 
 
-def _cmd_tiling_extremal(args) -> int:
-    tiling = ser.parse_tiling(_load(args.input))
-    result = is_two_extremal(tiling)
-    _emit(
-        ser.report(
-            "tiling-extremal",
-            two_extremal=result.two_extremal,
-            partners=[list(p) for p in result.partners],
-        ),
-        args.format,
+def _cmd_tiling_extremal(args) -> tuple[int, dict]:
+    result = is_two_extremal(ser.parse_tiling(_load(args.input)))
+    return 0 if result.two_extremal else 1, ser.report(
+        args.command,
+        two_extremal=result.two_extremal,
+        partners=[list(p) for p in result.partners],
     )
-    return 0 if result.two_extremal else 1
 
 
 def _cubes_json(cubes) -> list[list[str]]:
     return [[str(x) for x in c] for c in cubes]
 
 
-def _cmd_tiling_decompose(args) -> int:
+def _cmd_tiling_decompose(args) -> tuple[int, dict]:
     tiling = ser.parse_tiling(_load(args.input))
     dec = decompose(tiling, select=args.select, seed=args.seed)
-    _emit(
-        ser.report(
-            "tiling-decompose",
-            select=args.select,
-            plus=_cubes_json(dec.plus),
-            minus=_cubes_json(dec.minus),
-        ),
-        args.format,
+    return 0, ser.report(
+        args.command,
+        select=args.select,
+        plus=_cubes_json(dec.plus),
+        minus=_cubes_json(dec.minus),
     )
-    return 0
 
 
-def _cmd_tiling_reconstruct(args) -> int:
+def _cmd_tiling_reconstruct(args) -> tuple[int, dict]:
     cubes = ser.parse_cubes(_load(args.input))
     try:
         minus = reconstruct(cubes)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    _emit(
-        ser.report(
-            "tiling-reconstruct",
-            d=len(cubes[0]),
-            minus=_cubes_json(minus),
-        ),
-        args.format,
-    )
-    return 0
+    return 0, ser.report(args.command, d=len(cubes[0]), minus=_cubes_json(minus))
 
 
-def _cmd_tiling_gen(args) -> int:
+def _cmd_tiling_gen(args) -> tuple[int, dict]:
     if args.count < 1:
         raise InputError("count must be positive")
     if args.d < 1:
@@ -300,34 +251,22 @@ def _cmd_tiling_gen(args) -> int:
     tilings = [
         generate_two_extremal(args.d, args.seed + k) for k in range(args.count)
     ]
-    _emit(
-        ser.report(
-            "tiling-gen",
-            d=args.d,
-            seed=args.seed,
-            count=args.count,
-            tilings=[_cubes_json(t.cubes) for t in tilings],
-        ),
-        args.format,
+    return 0, ser.report(
+        args.command,
+        d=args.d, seed=args.seed, count=args.count,
+        tilings=[_cubes_json(t.cubes) for t in tilings],
     )
-    return 0
 
 
-def _cmd_tiling_chessboard(args) -> int:
+def _cmd_tiling_chessboard(args) -> tuple[int, dict]:
     tiling = ser.parse_tiling(_load(args.input))
     dec = decompose(tiling, select=args.select, seed=args.seed)
     z = tuple(ser._fraction(s.strip(), "z") for s in args.z.split(","))
     result = chessboard_check(tiling, dec, z)
-    _emit(
-        ser.report(
-            "tiling-chessboard",
-            z=[str(x) for x in z],
-            in_minus=result.in_minus,
-            overlap=None if result.overlap is None else [str(x) for x in result.overlap],
-        ),
-        args.format,
+    overlap = None if result.overlap is None else [str(x) for x in result.overlap]
+    return 0 if result.in_minus else 1, ser.report(
+        args.command, z=[str(x) for x in z], in_minus=result.in_minus, overlap=overlap
     )
-    return 0 if result.in_minus else 1
 
 
 def _default_budget() -> int:
@@ -355,20 +294,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, input=False, **kwargs):
         p = sub.add_parser(name, parents=[common], **kwargs)
         p.set_defaults(fn=fn)
+        if input:
+            p.add_argument("input", nargs="?", default="-")
         return p
 
-    p = add("verify-suit", _cmd_verify_suit, help="validate a suit document")
-    p.add_argument("input", nargs="?", default="-")
+    p = add("verify-suit", _cmd_verify_suit, input=True,
+            help="validate a suit document")
     p.add_argument("--proper", action="store_true")
 
-    p = add("boxnum", _cmd_boxnum, help="box number of a suit union or point set")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add("canon", _cmd_canon, help="canonical form of a proper suit")
-    p.add_argument("input", nargs="?", default="-")
+    add("boxnum", _cmd_boxnum, input=True,
+        help="box number of a suit union or point set")
+    add("canon", _cmd_canon, input=True, help="canonical form of a proper suit")
 
     p = add("equiv", _cmd_equiv, help="polybox equality of two proper suits")
     p.add_argument("--a", required=True)
@@ -381,12 +320,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--box", required=True,
                    help="JSON array of factor subsets, e.g. [[0],[0,1,2]]")
 
-    p = add("codes", _cmd_codes, help="binary code profile of a proper suit")
-    p.add_argument("input", nargs="?", default="-")
+    p = add("codes", _cmd_codes, input=True,
+            help="binary code profile of a proper suit")
     p.add_argument("--pattern", choices=("eo", "ml"), required=True)
 
-    p = add("genome-canon", _cmd_genome_canon, help="canonical form of a genome")
-    p.add_argument("input", nargs="?", default="-")
+    add("genome-canon", _cmd_genome_canon, input=True,
+        help="canonical form of a genome")
 
     p = add("genome-equiv", _cmd_genome_equiv, help="genome equivalence")
     p.add_argument("--a", required=True)
@@ -404,28 +343,24 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", default=None,
                    help="genome document supplying the search alphabet")
 
-    p = add("tiling-verify", _cmd_tiling_verify, help="validate a tiling document")
-    p.add_argument("input", nargs="?", default="-")
+    add("tiling-verify", _cmd_tiling_verify, input=True,
+        help="validate a tiling document")
+    add("tiling-extremal", _cmd_tiling_extremal, input=True,
+        help="check 2-extremality")
 
-    p = add("tiling-extremal", _cmd_tiling_extremal, help="check 2-extremality")
-    p.add_argument("input", nargs="?", default="-")
-
-    p = add("tiling-decompose", _cmd_tiling_decompose,
+    p = add("tiling-decompose", _cmd_tiling_decompose, input=True,
             help="split a 2-extremal tiling into plus and minus halves")
-    p.add_argument("input", nargs="?", default="-")
     p.add_argument("--select", choices=("lex", "seed"), default="lex")
 
-    p = add("tiling-reconstruct", _cmd_tiling_reconstruct,
-            help="recover the minus half from a plus half")
-    p.add_argument("input", nargs="?", default="-")
+    add("tiling-reconstruct", _cmd_tiling_reconstruct, input=True,
+        help="recover the minus half from a plus half")
 
     p = add("tiling-gen", _cmd_tiling_gen, help="generate 2-extremal tilings")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, default=1)
 
-    p = add("tiling-chessboard", _cmd_tiling_chessboard,
+    p = add("tiling-chessboard", _cmd_tiling_chessboard, input=True,
             help="chess-board membership test for a translation vector")
-    p.add_argument("input", nargs="?", default="-")
     p.add_argument("--z", required=True, help="comma-separated rationals")
     p.add_argument("--select", choices=("lex", "seed"), default="lex")
 
@@ -433,22 +368,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    fmt = "json"
+    # --format is read first, so that a usage error elsewhere in argv is still
+    # reported in that format; the full parse reports a bad or missing value
+    pre = _Parser(add_help=False)
+    pre.add_argument("--format", nargs="?", default="json")
+    fmt = pre.parse_known_args(argv)[0].format
     try:
         args = _build_parser().parse_args(argv)
-        fmt = args.format
         if args.budget is None:
             args.budget = _default_budget()
-        return args.fn(args)
+        code, doc = args.fn(args)
     except _INTERNAL as exc:
         import traceback  # on the fault path only, to keep start-up lean
 
         traceback.print_exc()
-        sys.stdout.write(ser.dumps(ser.error_document(exc), fmt))
-        return 3
+        code, doc = 3, ser.error_document(exc)
     except PolyboxError as exc:
-        sys.stdout.write(ser.dumps(ser.error_document(exc), fmt))
-        return 2
+        code, doc = 2, ser.error_document(exc)
+    sys.stdout.write(ser.dumps(doc, fmt))
+    return code
 
 
 if __name__ == "__main__":

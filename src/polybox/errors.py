@@ -1,4 +1,8 @@
-"""Exception hierarchy shared across the library."""
+"""Exception hierarchy shared across the library.
+
+Each class's `code`, the machine-readable name the CLI reports, is its
+class name.
+"""
 
 from __future__ import annotations
 
@@ -8,17 +12,17 @@ class PolyboxError(Exception):
 
     code = "PolyboxError"
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.code = cls.__name__
+
 
 class SpaceMismatch(PolyboxError):
     """Operands live in different box spaces."""
 
-    code = "SpaceMismatch"
-
 
 class NotDichotomous(PolyboxError):
     """Two boxes (or words) have no complementary coordinate."""
-
-    code = "NotDichotomous"
 
     def __init__(self, i: int, j: int):
         super().__init__(f"members {i} and {j} are not dichotomous")
@@ -29,90 +33,70 @@ class NotDichotomous(PolyboxError):
 class NotProper(PolyboxError):
     """A box has a full factor where a proper one is required."""
 
-    code = "NotProper"
-
     def __init__(self, index: int):
         super().__init__(f"box {index} is not proper")
         self.index = index
 
 
 class NotAPartition(PolyboxError):
-    code = "NotAPartition"
+    """Given parts are not proper boxes partitioning the point set."""
 
 
 class UnionsOverlap(PolyboxError):
-    code = "UnionsOverlap"
+    """Two suits whose unions must be disjoint share a point."""
 
 
 class BudgetExceeded(PolyboxError):
     """Instance too large for the configured enumeration budget."""
 
-    code = "BudgetExceeded"
-
 
 class EvenFactor(PolyboxError):
     """An operation requiring odd factor cardinalities met an even one."""
 
-    code = "EvenFactor"
-
 
 class NoPartition(PolyboxError):
-    code = "NoPartition"
+    """A point set has no partition into proper boxes."""
 
 
 class CriteriaDisagree(PolyboxError):
     """Independent decision routes returned different verdicts (a bug)."""
 
-    code = "CriteriaDisagree"
-
 
 class GSumExceeds2d(PolyboxError):
     """Overlap sum above 2^d; the word set was not a genome."""
-
-    code = "GSumExceeds2d"
 
 
 class NoWitness(PolyboxError):
     """No rigidity witness exists although the theorem guarantees one."""
 
-    code = "NoWitness"
-
 
 class InconsistentOrientation(PolyboxError):
-    code = "InconsistentOrientation"
+    """A sign assignment misses a word or breaks the parity rule."""
 
 
 class NotUnique(PolyboxError):
     """A reconstruction admitted more than one completion."""
 
-    code = "NotUnique"
-
 
 class Incomplete(PolyboxError):
     """A reconstruction found fewer members than required."""
 
-    code = "Incomplete"
-
 
 class WrongCount(PolyboxError):
-    code = "WrongCount"
+    """A tiling, half or point has the wrong number of cubes or coordinates."""
 
 
 class CoordOutOfRange(PolyboxError):
-    code = "CoordOutOfRange"
+    """A tiling coordinate lies outside [0, 2)."""
 
 
 class NotTwoExtremal(PolyboxError):
-    code = "NotTwoExtremal"
+    """A tiling or split that must be 2-extremal is not."""
 
 
 class TheoremViolation(PolyboxError):
     """An identity that must hold failed at runtime (a bug, not bad input)."""
 
-    code = "TheoremViolation"
-
 
 class InputError(PolyboxError):
     """Malformed document or argument at the CLI boundary."""
-
-    code = "InputError"

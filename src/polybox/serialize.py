@@ -15,7 +15,7 @@ from typing import Any, Sequence
 
 from .boxes import Box, BoxSpace, members_of
 from .canon import CanonicalForm
-from .errors import InputError
+from .errors import InputError, PolyboxError
 from .genomes import Alphabet, GenomeSet, WordCanonicalForm
 from .suits import PointSet, Suit
 from .tilings import Cube, TorusTiling
@@ -261,6 +261,5 @@ def report(command: str, **payload) -> dict:
     return doc
 
 
-def error_document(exc: Exception) -> dict:
-    code = getattr(exc, "code", "InputError")
-    return {"error": {"code": code, "detail": str(exc)}}
+def error_document(exc: PolyboxError) -> dict:
+    return {"error": {"code": exc.code, "detail": str(exc)}}

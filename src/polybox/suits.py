@@ -240,12 +240,7 @@ def find_proper_partition(
 
 def is_polybox(g: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
     """True iff g admits a partition into proper boxes of size |g|_0."""
-    if not g.members:
-        return False
-    b0 = box_number(g, budget)
-    if b0.denominator != 1 or b0 <= 0:
-        return False
-    return find_proper_partition(g, int(b0), budget) is not None
+    return proper_suit_for(g, budget) is not None
 
 
 def proper_suit_for(g: PointSet, budget: int = DEFAULT_BUDGET) -> Optional[Suit]:

@@ -316,6 +316,19 @@ class TestDeterminismAndFormats:
         code, doc = run_json(capsys, "boxnum", fx("points_line.json"))
         assert code == 0
 
+    def test_outputs_match_the_pinned_matrix(self, capsys, monkeypatch):
+        # every subcommand and six error cases in both formats, captured
+        # before handlers stopped writing their own output; paths are
+        # relative to the fixtures so error details carry no absolute path
+        monkeypatch.chdir(FIX)
+        monkeypatch.delenv("POLYBOX_BUDGET", raising=False)
+        cases = json.loads((FIX / "cli_matrix.json").read_text())
+        assert len({case["argv"][0] for case in cases}) == 16
+        for case in cases:
+            assert run(capsys, *case["argv"]) == (case["code"], case["stdout"]), (
+                case["argv"]
+            )
+
 
 class TestArgumentAndFaultReports:
     def test_bad_budget_env_is_input_error(self, capsys, monkeypatch):
@@ -339,6 +352,14 @@ class TestArgumentAndFaultReports:
         captured = capsys.readouterr()
         doc = json.loads(captured.out)
         assert code == 2 and doc["error"]["code"] == "InputError"
+        assert captured.err == ""
+
+    def test_usage_error_honours_pretty_format(self, capsys):
+        code = main(["boxnum", fx("points_line.json"), "--format", "pretty",
+                     "--budget", "q"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out.startswith("{\n")
+        assert json.loads(captured.out)["error"]["code"] == "InputError"
         assert captured.err == ""
 
     def test_help_still_exits_0(self, capsys):
