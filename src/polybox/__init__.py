@@ -12,6 +12,7 @@ from .boxes import (
     simple_suit,
 )
 from .canon import CanonicalForm, canonical_form, project_box, suits_equivalent
+from .errors import DEFAULT_BUDGET
 from .genomes import (
     Alphabet,
     CoverResult,
@@ -44,7 +45,6 @@ from .indices import (
     verify_dyadic,
 )
 from .suits import (
-    DEFAULT_BUDGET,
     PointSet,
     Suit,
     box_number,

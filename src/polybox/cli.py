@@ -2,15 +2,18 @@
 
 Exit codes: 0 for success or an affirmative verdict, 1 for a negative
 domain verdict (not equivalent, not covered, not 2-extremal, a chess-board
-point meeting a plus cube), 2 for any input problem, bad arguments and a
-bad POLYBOX_BUDGET included, and 3 for an internal fault (TheoremViolation,
-CriteriaDisagree, NoWitness), a bug whose traceback also goes to stderr.  A
-tiling that is not 2-extremal given to tiling-decompose or tiling-chessboard
-exits 2, since 2-extremality is their premise.  Exits 2 and 3 print a
-machine-readable {"error": {"code": ..., "detail": ...}} on stdout.
+point meeting a plus cube), 2 for any input problem, bad arguments, a
+bad POLYBOX_BUDGET and a step over the budget included, and 3 for an
+internal fault (TheoremViolation, CriteriaDisagree, NoWitness), a bug whose
+traceback also goes to stderr.  A tiling that is not 2-extremal given to
+tiling-decompose or tiling-chessboard exits 2, since 2-extremality is their
+premise.  Exits 2 and 3 print a machine-readable
+{"error": {"code": ..., "detail": ...}} on stdout.
 
-Each command handler returns (exit code, document) and writes nothing;
-main alone serializes the document, error documents included, to stdout.
+The global flags --budget, --seed and --format go on either side of the
+subcommand.  main puts the budget in force for the run, and each handler
+returns (exit code, document) without writing; main alone serializes the
+document, error documents included, to stdout.
 """
 
 from __future__ import annotations
@@ -26,11 +29,14 @@ from . import serialize as ser
 from .boxes import Box
 from .canon import canonical_form, suits_equivalent
 from .errors import (
+    DEFAULT_BUDGET,
     CriteriaDisagree,
     InputError,
     NoWitness,
     PolyboxError,
     TheoremViolation,
+    require_budget,
+    run_with_budget,
 )
 from .genomes import (
     covers,
@@ -49,7 +55,7 @@ from .indices import (
     suit_index,
 )
 from .oracle import points_equal
-from .suits import DEFAULT_BUDGET, Suit, box_number, union_points, verify_suit
+from .suits import Suit, box_number, union_points, verify_suit
 from .tilings import (
     chessboard_check,
     decompose,
@@ -102,7 +108,7 @@ def _cmd_boxnum(args) -> tuple[int, dict]:
         points = union_points(verify_suit(boxes))
     else:
         points = parsed
-    value = box_number(points, args.budget)
+    value = box_number(points)
     return 0, ser.report(
         args.command,
         box_number=str(value),
@@ -123,9 +129,9 @@ def _cmd_equiv(args) -> tuple[int, dict]:
     if args.method in ("canon", "all"):
         methods["canon"] = suits_equivalent(f, g)
     if args.method in ("index", "all"):
-        methods["index"] = polybox_equal_by_index(f, g, args.budget)
+        methods["index"] = polybox_equal_by_index(f, g)
     if args.method in ("oracle", "all"):
-        methods["oracle"] = points_equal(f, g, args.budget)
+        methods["oracle"] = points_equal(f, g)
     verdicts = set(methods.values())
     if len(verdicts) > 1:
         raise CriteriaDisagree(f"methods disagree: {methods}")
@@ -248,6 +254,8 @@ def _cmd_tiling_gen(args) -> tuple[int, dict]:
         raise InputError("count must be positive")
     if args.d < 1:
         raise InputError("d must be positive")
+    bits = 2 * args.d + (args.count - 1).bit_length()
+    require_budget(bits, "generation needs log2(count 4^d)")
     tilings = [
         generate_two_extremal(args.d, args.seed + k) for k in range(args.count)
     ]
@@ -270,9 +278,7 @@ def _cmd_tiling_chessboard(args) -> tuple[int, dict]:
 
 
 def _default_budget() -> int:
-    raw = os.environ.get("POLYBOX_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
+    raw = os.environ.get("POLYBOX_BUDGET", str(DEFAULT_BUDGET))
     try:
         return int(raw)
     except ValueError:
@@ -280,15 +286,18 @@ def _default_budget() -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--budget", type=int, default=None,
-                        help="enumeration budget in bits of |X|_1 "
-                             "(env override: POLYBOX_BUDGET)")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--format", choices=("json", "pretty"), default="json")
+    # Global flags, on the main parser and every subparser, set nothing
+    # unless given (main supplies the defaults), so either side may hold them.
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--budget", type=int,
+                        help="log2 of the work any exponential step may do "
+                             "(default 24; env override: POLYBOX_BUDGET)")
+    common.add_argument("--seed", type=int)
+    common.add_argument("--format", choices=("json", "pretty"))
 
     parser = _Parser(
         prog="polybox",
+        parents=[common],
         description="Exact verification toolkit for dichotomous boxes, "
         "polybox invariants, word genomes, and torus cube tilings.",
     )
@@ -374,10 +383,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     pre.add_argument("--format", nargs="?", default="json")
     fmt = pre.parse_known_args(argv)[0].format
     try:
-        args = _build_parser().parse_args(argv)
-        if args.budget is None:
-            args.budget = _default_budget()
-        code, doc = args.fn(args)
+        defaults = argparse.Namespace(budget=None, seed=0)
+        args = _build_parser().parse_args(argv, defaults)
+        budget = _default_budget() if args.budget is None else args.budget
+        code, doc = run_with_budget(budget, args.fn, args)
     except _INTERNAL as exc:
         import traceback  # on the fault path only, to keep start-up lean
 

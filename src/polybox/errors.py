@@ -1,10 +1,17 @@
-"""Exception hierarchy shared across the library.
+"""Exception hierarchy shared across the library, and the one budget rule.
 
 Each class's `code`, the machine-readable name the CLI reports, is its
-class name.
+class name.  Every exponential step states the log2 of its work and calls
+require_budget before it starts; run_with_budget sets the budget in force.
 """
 
 from __future__ import annotations
+
+import contextvars
+from typing import Callable, Optional
+
+DEFAULT_BUDGET = 24
+_BUDGET = contextvars.ContextVar("polybox_budget", default=DEFAULT_BUDGET)
 
 
 class PolyboxError(Exception):
@@ -47,7 +54,25 @@ class UnionsOverlap(PolyboxError):
 
 
 class BudgetExceeded(PolyboxError):
-    """Instance too large for the configured enumeration budget."""
+    """Instance too large for the budget in force."""
+
+
+def require_budget(bits: int, what: str, budget: Optional[int] = None) -> None:
+    """Refuse a step of 2^bits work over the budget (None: the one in force).
+
+    `what` names the step and measure ("partition search needs |X|_1").  A
+    count n >= 1 is (n - 1).bit_length() bits, its log2 rounded up.
+    """
+    limit = _BUDGET.get() if budget is None else budget
+    if bits > limit:
+        raise BudgetExceeded(f"{what} = {bits} <= budget {limit}")
+
+
+def run_with_budget(budget: int, fn: Callable, *args):
+    """fn(*args) with `budget` in force; the caller's budget is untouched."""
+    context = contextvars.copy_context()
+    context.run(_BUDGET.set, budget)
+    return context.run(fn, *args)
 
 
 class EvenFactor(PolyboxError):

@@ -11,6 +11,7 @@ nonzero indices are summed directly in O(|F| 2^d), never by a scan.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
@@ -18,12 +19,9 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 from . import words as kernel
 from .boxes import Box, BoxSpace, complement_action, same_space
 from .errors import (
-    BudgetExceeded,
-    EvenFactor,
-    NotProper,
-    SpaceMismatch,
+    EvenFactor, NotProper, SpaceMismatch, require_budget, run_with_budget
 )
-from .suits import DEFAULT_BUDGET, Suit, require_enumerable, verify_suit
+from .suits import Suit, verify_suit
 
 EpsilonVector = Sequence[int]
 
@@ -61,14 +59,15 @@ def suit_index(s: Suit, c: Box) -> int:
 
 
 def index_representatives(
-    space: BoxSpace, budget: int = DEFAULT_BUDGET
+    space: BoxSpace, budget: Optional[int] = None
 ) -> Iterator[Box]:
     """One box per complement class: factors full or containing element 0.
 
     Complementing flips the index sign factor-wise, so comparing indices on
     these representatives compares them on every box.
     """
-    require_enumerable(space, budget, "index representative enumeration")
+    what = "index representative enumeration needs |X|_1"
+    require_budget(space.size_sum, what, budget)
     per_factor = []
     for i, n in enumerate(space.dims):
         full = space.full_mask(i)
@@ -79,16 +78,17 @@ def index_representatives(
         yield Box(space, factors)
 
 
-def polybox_equal_by_index(f: Suit, g: Suit, budget: int = DEFAULT_BUDGET) -> bool:
+def polybox_equal_by_index(f: Suit, g: Suit, budget: Optional[int] = None) -> bool:
     """Polybox equality via index agreement on all class representatives.
 
     Both suits' nonzero indices are summed sparsely (words.index_sums) in
-    O(|F| 2^d) and compared whole; a representative absent from both has
-    index 0 in both.
+    O(|F| 2^d), under `budget` when one is given, and compared whole; a
+    representative absent from both has index 0 in both.
     """
+    if budget is not None:
+        return run_with_budget(budget, polybox_equal_by_index, f, g)
     if f.space != g.space:
         raise SpaceMismatch("suits live in different spaces")
-    require_enumerable(f.space, budget, "index representative enumeration")
     if not (f.is_proper and g.is_proper):
         raise ValueError("phi is defined on proper boxes only")
     flip = f.space.full_masks
@@ -125,9 +125,10 @@ class BinaryCode:
             raise ValueError("binary codes label proper boxes only")
         return tuple(fn(m) for fn, m in zip(self.bit_fns, a.factors))
 
-    def validate(self, budget: int = DEFAULT_BUDGET) -> bool:
+    def validate(self, budget: Optional[int] = None) -> bool:
         """Exhaustively check the complement-sum invariant on every factor."""
-        require_enumerable(self.space, budget, "binary code validation")
+        what = "binary code validation needs |X|_1"
+        require_budget(self.space.size_sum, what, budget)
         for i, n in enumerate(self.space.dims):
             full = self.space.full_mask(i)
             fn = self.bit_fns[i]
@@ -219,18 +220,16 @@ def equicomplementary_labelling(
     return DyadicLabelling(space, label, labels)
 
 
-def _all_proper_boxes(space: BoxSpace, budget: int) -> Iterator[Box]:
-    count = 1
-    for n in space.dims:
-        count *= (1 << n) - 2
-    if count > 1 << budget:
-        raise BudgetExceeded(f"{count} proper boxes exceed budget 2^{budget}")
+def _all_proper_boxes(space: BoxSpace, budget: Optional[int]) -> Iterator[Box]:
+    count = math.prod((1 << n) - 2 for n in space.dims)
+    what = "proper box enumeration needs log2 count"
+    require_budget((count - 1).bit_length(), what, budget)
     per_factor = [range(1, space.full_mask(i)) for i in range(space.d)]
     for factors in itertools.product(*per_factor):
         yield Box(space, factors)
 
 
-def verify_dyadic(l: DyadicLabelling, budget: int = DEFAULT_BUDGET) -> bool:
+def verify_dyadic(l: DyadicLabelling, budget: Optional[int] = None) -> bool:
     """Check surjectivity and the twin-pair exchange identity exhaustively.
 
     Two twin pairs share a union exactly when that union is a box with one

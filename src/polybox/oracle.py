@@ -10,24 +10,31 @@ selection bit masks.  Deliberately naive; budget-guarded.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boxes import Box, BoxSpace, members_of
-from .errors import BudgetExceeded, NoPartition, TheoremViolation
+from .errors import (
+    BudgetExceeded,
+    NoPartition,
+    TheoremViolation,
+    require_budget,
+    run_with_budget,
+)
 from .genomes import Alphabet, GenomeSet
-from .suits import DEFAULT_BUDGET, PointSet, Suit, require_enumerable, union_points
-
-DEFAULT_PAIR_BUDGET = 16
+from .suits import PointSet, Suit, union_points
 
 Point = tuple[int, ...]
 
 
-def points_equal(f: Suit, g: Suit, budget: int = DEFAULT_BUDGET) -> bool:
+def points_equal(f: Suit, g: Suit, budget: Optional[int] = None) -> bool:
     """Ground truth for every polybox-equality criterion."""
-    require_enumerable(f.space, budget, "point enumeration")
-    require_enumerable(g.space, budget, "point enumeration")
+    if budget is not None:
+        return run_with_budget(budget, points_equal, f, g)
+    for s in (f, g):
+        require_budget(s.space.size_sum, "point enumeration needs |X|_1")
     return union_points(f).members == union_points(g).members
 
 
@@ -45,18 +52,16 @@ def _candidate_boxes(
             yield box
 
 
-def exhaustive_min_partition(g: PointSet, budget: int = DEFAULT_BUDGET) -> int:
+def exhaustive_min_partition(g: PointSet, budget: Optional[int] = None) -> int:
     """True minimum size over all partitions of g into proper boxes.
 
     Backtracks over the lexicographically least uncovered point with a
     simple covering lower bound.  Exponential; meant for tiny instances.
     """
-    require_enumerable(g.space, budget, "partition enumeration")
+    require_budget(g.space.size_sum, "partition enumeration needs |X|_1", budget)
     if not g.members:
         return 0
-    max_box = 1
-    for n in g.space.dims:
-        max_box *= n - 1
+    max_box = math.prod(n - 1 for n in g.space.dims)
 
     best: Optional[int] = None
 
@@ -80,16 +85,14 @@ def exhaustive_min_partition(g: PointSet, budget: int = DEFAULT_BUDGET) -> int:
 
 
 def enumerate_min_partitions(
-    g: PointSet, budget: int = DEFAULT_BUDGET
+    g: PointSet, budget: Optional[int] = None
 ) -> list[list[Box]]:
     """All partitions of g into proper boxes of minimal size.
 
     The anchor-point branching produces every partition exactly once.
     """
     k = exhaustive_min_partition(g, budget)
-    max_box = 1
-    for n in g.space.dims:
-        max_box *= n - 1
+    max_box = math.prod(n - 1 for n in g.space.dims)
 
     out: list[list[Box]] = []
     acc: list[Box] = []
@@ -129,18 +132,17 @@ def selection_mask(alphabet: Alphabet, letter: str) -> int:
 
 
 def e_realization(
-    alphabet: Alphabet, v: Sequence[str], budget: int = DEFAULT_PAIR_BUDGET
+    alphabet: Alphabet, v: Sequence[str], budget: Optional[int] = None
 ) -> tuple[int, ...]:
     """The box of v in the selection space: one selection mask per position."""
     m = len(alphabet.pairs)
-    if m > budget:
-        raise BudgetExceeded(f"{m} letter pairs exceed the budget {budget}")
+    require_budget(2 * m, "selection masks need 2 * letter pairs", budget)
     word = alphabet.check_word(v)
     return tuple(selection_mask(alphabet, s) for s in word)
 
 
 def e_realization_covers(
-    v: Sequence[str], w: GenomeSet, budget: int = DEFAULT_PAIR_BUDGET
+    v: Sequence[str], w: GenomeSet, budget: Optional[int] = None
 ) -> bool:
     """Cover verdict by containment in the selection-space realization.
 
@@ -154,30 +156,19 @@ def e_realization_covers(
     for a, b in itertools.combinations(wboxes, 2):
         if all((x & y).bit_count() for x, y in zip(a, b)):
             raise TheoremViolation("genome members overlap in the selection space")
-    v_size = 1
-    for x in vbox:
-        v_size *= x.bit_count()
-    covered = 0
-    for wb in wboxes:
-        part = 1
-        for x, y in zip(vbox, wb):
-            part *= (x & y).bit_count()
-        covered += part
-    return covered == v_size
+    covered = sum(
+        math.prod((x & y).bit_count() for x, y in zip(vbox, wb)) for wb in wboxes
+    )
+    return covered == math.prod(x.bit_count() for x in vbox)
 
 
-def e_realization_covers_points(
-    v: Sequence[str], w: GenomeSet, budget_points: int = 1 << 16
-) -> bool:
+def e_realization_covers_points(v: Sequence[str], w: GenomeSet) -> bool:
     """Same verdict by raw point enumeration of the selection space."""
     alphabet = w.alphabet
     vbox = e_realization(alphabet, v)
     wboxes = [e_realization(alphabet, x) for x in w.words]
-    size = 1
-    for x in vbox:
-        size *= x.bit_count()
-    if size > budget_points:
-        raise BudgetExceeded(f"{size} realization points exceed {budget_points}")
+    work = math.prod(x.bit_count() for x in vbox) * len(wboxes)
+    require_budget((work - 1).bit_length(), "point cover check needs log2(points |W|)")
     for point in itertools.product(*(members_of(x) for x in vbox)):
         if not any(
             all(wb[i] >> k & 1 for i, k in enumerate(point)) for wb in wboxes
@@ -244,11 +235,12 @@ def random_realization_check(
     w: GenomeSet,
     space: BoxSpace,
     seed: int,
-    budget: int = DEFAULT_BUDGET,
+    budget: Optional[int] = None,
 ) -> bool:
     """Containment of v's image in the union of w's under one seeded exact
     realization; a single failure refutes the cover relation."""
-    require_enumerable(space, budget, "realization point enumeration")
+    what = "realization point enumeration needs |X|_1"
+    require_budget(space.size_sum, what, budget)
     for i, n in enumerate(space.dims):
         if n < 3:
             raise ValueError(f"factor {i} too small for an exact realization")

@@ -10,6 +10,7 @@ exactly when it is a suit.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence, Union
@@ -17,25 +18,16 @@ from typing import Iterator, Optional, Sequence, Union
 from . import words as kernel
 from .boxes import Box, BoxSpace, is_dichotomous
 from .errors import (
-    BudgetExceeded,
     NotAPartition,
     NotDichotomous,
     NotProper,
     SpaceMismatch,
     TheoremViolation,
     UnionsOverlap,
+    require_budget,
 )
 
-DEFAULT_BUDGET = 24
-
 Point = tuple[int, ...]
-
-
-def require_enumerable(space: BoxSpace, budget: int, what: str = "enumeration"):
-    if space.size_sum > budget:
-        raise BudgetExceeded(
-            f"{what} needs |X|_1 = {space.size_sum} <= budget {budget}"
-        )
 
 
 @dataclass(frozen=True)
@@ -107,11 +99,11 @@ def verify_suit(boxes: Sequence[Box], require_proper: bool = False) -> Suit:
 
 def union_points(s: Suit) -> PointSet:
     """Exact union of the suit's boxes; dichotomous boxes never overlap."""
+    total = sum(b.size() for b in s.boxes)
+    require_budget((total - 1).bit_length(), "union needs log2 points")
     pts: set[Point] = set()
-    total = 0
     for b in s.boxes:
         pts.update(b.points())
-        total += b.size()
     if total != len(pts):
         raise TheoremViolation("suit members overlap as point sets")
     return PointSet(s.space, frozenset(pts))
@@ -142,8 +134,6 @@ def _hat_of_points(g: PointSet) -> int:
         return 0
     per_factor: list[list[int]] = []
     for i, n in enumerate(g.space.dims):
-        if n > 20:
-            raise BudgetExceeded(f"factor {i} too large for point-parity counting")
         elem = [0] * n
         for k, x in enumerate(pts):
             elem[x[i]] |= 1 << k
@@ -172,15 +162,15 @@ def _hat_of_points(g: PointSet) -> int:
     return count
 
 
-def hat_cardinality(g: Union[PointSet, Box], budget: int = DEFAULT_BUDGET) -> int:
+def hat_cardinality(g: Union[PointSet, Box], budget: Optional[int] = None) -> int:
     """Size of the odd-intersection fingerprint of g."""
-    require_enumerable(g.space, budget, "fingerprint enumeration")
+    require_budget(g.space.size_sum, "fingerprint enumeration needs |X|_1", budget)
     if isinstance(g, Box):
         return _hat_of_box(g)
     return _hat_of_points(g)
 
 
-def box_number(g: Union[PointSet, Box], budget: int = DEFAULT_BUDGET) -> Fraction:
+def box_number(g: Union[PointSet, Box], budget: Optional[int] = None) -> Fraction:
     """|G|_0, exact; integral for every polybox but not in general."""
     space = g.space
     return Fraction(hat_cardinality(g, budget), 1 << (space.size_sum - 2 * space.d))
@@ -204,7 +194,7 @@ def _proper_boxes_at(
 
 
 def find_proper_partition(
-    g: PointSet, size: int, budget: int = DEFAULT_BUDGET
+    g: PointSet, size: int, budget: Optional[int] = None
 ) -> Optional[list[Box]]:
     """A partition of g into at most `size` proper boxes, or None.
 
@@ -213,10 +203,8 @@ def find_proper_partition(
     first.  With size = |g|_0 this decides polybox-ness, because no proper
     partition can be smaller than |g|_0.
     """
-    require_enumerable(g.space, budget, "partition search")
-    max_box = 1
-    for n in g.space.dims:
-        max_box *= n - 1
+    require_budget(g.space.size_sum, "partition search needs |X|_1", budget)
+    max_box = math.prod(n - 1 for n in g.space.dims)
 
     out: list[Box] = []
 
@@ -238,12 +226,12 @@ def find_proper_partition(
     return None
 
 
-def is_polybox(g: PointSet, budget: int = DEFAULT_BUDGET) -> bool:
+def is_polybox(g: PointSet, budget: Optional[int] = None) -> bool:
     """True iff g admits a partition into proper boxes of size |g|_0."""
     return proper_suit_for(g, budget) is not None
 
 
-def proper_suit_for(g: PointSet, budget: int = DEFAULT_BUDGET) -> Optional[Suit]:
+def proper_suit_for(g: PointSet, budget: Optional[int] = None) -> Optional[Suit]:
     """Some proper suit with union g, or None when g is not a polybox.
 
     A proper partition of minimal size |g|_0 is necessarily a suit, so the
@@ -261,7 +249,7 @@ def proper_suit_for(g: PointSet, budget: int = DEFAULT_BUDGET) -> Optional[Suit]
 
 
 def is_minimal_partition(
-    parts: Sequence[Box], g: PointSet, budget: int = DEFAULT_BUDGET
+    parts: Sequence[Box], g: PointSet, budget: Optional[int] = None
 ) -> bool:
     """Decide minimality of a proper-box partition of g by two routes.
 
@@ -271,6 +259,8 @@ def is_minimal_partition(
     """
     if not parts:
         raise NotAPartition("no parts given")
+    # first, as box_number checks the budget before any point is listed
+    by_count = len(parts) == box_number(g, budget)
     covered: set[Point] = set()
     total = 0
     for k, b in enumerate(parts):
@@ -282,8 +272,6 @@ def is_minimal_partition(
         total += b.size()
     if total != len(covered) or covered != set(g.members):
         raise NotAPartition("parts do not partition the point set")
-
-    by_count = len(parts) == box_number(g, budget)
     try:
         verify_suit(parts)
         by_suit = True

@@ -19,18 +19,16 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import words as kernel
 from .errors import (
-    BudgetExceeded,
     CoordOutOfRange,
     NotTwoExtremal,
     TheoremViolation,
     WrongCount,
+    require_budget,
 )
 from .genomes import Alphabet, GenomeSet
 
 Cube = tuple[Fraction, ...]
 Word = tuple[int, ...]
-
-MAX_GENERATED_DIM = 12
 
 
 def _intern(
@@ -101,8 +99,7 @@ def _ranks(values: dict[int, Fraction]) -> dict[int, int]:
 
 def cubes_dichotomous(a: Cube, b: Cube) -> bool:
     """True when some coordinate pair differs by 1 mod 2."""
-    v, w = _intern([[x % 2 for x in a], [x % 2 for x in b]])[1]
-    return kernel.dichotomous(v, w, (1,) * len(v))
+    return any((x - y) % 2 == 1 for x, y in zip(a, b))
 
 
 def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
@@ -300,8 +297,7 @@ def generate_two_extremal(d: int, seed: int) -> TorusTiling:
     """
     if d < 1:
         raise ValueError("dimension must be at least 1")
-    if d > MAX_GENERATED_DIM:
-        raise BudgetExceeded(f"dimension {d} exceeds {MAX_GENERATED_DIM}")
+    require_budget(2 * d, "generation needs 2d")
     rng = random.Random(seed)
     # columns[i] maps the letters at position i to their values: 3 and 2 for
     # a base x and x + 1 (x random at position 0 and 0 above it), 5 and 4

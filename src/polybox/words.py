@@ -12,11 +12,12 @@ itself, so expansion and index sums serve every layer unchanged.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from operator import eq, xor
 from typing import Optional, Sequence
 
-from .errors import Incomplete, NotDichotomous, NotUnique
+from .errors import Incomplete, NotDichotomous, NotUnique, require_budget
 
 Word = tuple[int, ...]
 
@@ -98,10 +99,12 @@ def expand(
     """Summed signed expansion over starred positive letters.
 
     Each negative letter x at position i becomes the star flip[i] minus the
-    positive letter x ^ flip[i], so a word expands to at most 2^d terms;
-    with stars, each positive letter x also becomes the star plus x.  Zero
-    coefficients of the sum are dropped.
+    positive letter x ^ flip[i], so a word expands to 2^(its negative
+    letters) terms; with stars, each positive letter x also becomes the
+    star plus x, for 2^d terms.  Zero coefficients of the sum are dropped.
     """
+    size = sum(1 << sum(stars or not x & 1 for x in w) for w in words)
+    require_budget((size - 1).bit_length(), "expansion needs log2 terms")
     coeffs: dict[Word, int] = defaultdict(int)
     for w in words:
         terms: list[tuple[Word, int]] = [((), 1)]
@@ -168,6 +171,9 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
             having[w[i]] |= 1 << k
         letters = set(having) | {x ^ f for x in having}
         cand.append([(s, having.get(s ^ f, 0)) for s in sorted(letters)])
+    prefixes = math.prod(len(c) for c in cand[:-1])
+    bits = max(2 * d, (prefixes - 1).bit_length())
+    require_budget(bits, "completion needs log2 max(4^d, prefixes)")
 
     # Every position's candidates together hit every member, so no prefix
     # can be ruled out before the last position.  There the candidates hit

@@ -330,6 +330,41 @@ class TestDeterminismAndFormats:
             )
 
 
+class TestGlobalFlags:
+    def test_budget_before_the_subcommand(self, capsys):
+        code, doc = run_json(
+            capsys, "--budget", "2", "boxnum", fx("points_line.json")
+        )
+        assert code == 2 and doc["error"]["code"] == "BudgetExceeded"
+
+    def test_flag_after_the_subcommand_wins(self, capsys):
+        code, _ = run(
+            capsys, "--budget", "2", "boxnum", fx("points_line.json"),
+            "--budget", "3",
+        )
+        assert code == 0
+
+    def test_seed_before_the_subcommand(self, capsys):
+        before = run(capsys, "--seed", "5", "tiling-gen", "--d", "3")
+        after = run(capsys, "tiling-gen", "--d", "3", "--seed", "5")
+        default = run(capsys, "tiling-gen", "--d", "3")
+        assert before == after != default
+
+    def test_format_before_the_subcommand(self, capsys):
+        code, out = run(
+            capsys, "--format", "pretty", "boxnum", fx("points_line.json")
+        )
+        assert code == 0 and out.startswith("{\n")
+
+    def test_usage_error_before_the_subcommand_stays_pretty(self, capsys):
+        code = main(["--format", "pretty", "--budget", "q", "boxnum",
+                     fx("points_line.json")])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out.startswith("{\n")
+        assert json.loads(captured.out)["error"]["code"] == "InputError"
+        assert captured.err == ""
+
+
 class TestArgumentAndFaultReports:
     def test_bad_budget_env_is_input_error(self, capsys, monkeypatch):
         monkeypatch.setenv("POLYBOX_BUDGET", "x")

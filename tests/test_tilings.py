@@ -20,7 +20,8 @@ from polybox.errors import (
     NotTwoExtremal,
     WrongCount,
 )
-from polybox.tilings import ExtremalDecomposition, cubes_dichotomous
+from polybox import words as kernel
+from polybox.tilings import ExtremalDecomposition, _intern, cubes_dichotomous
 
 F = Fraction
 
@@ -52,6 +53,15 @@ class TestVerify:
         )
         with pytest.raises(NotDichotomous):
             tiling_verify(bad)
+
+    def test_cubes_dichotomous_matches_the_kernel_route(self, rng):
+        values = [F(0), F(1, 2), F(1), F(3, 2), F(1, 3), F(4, 3), F(5, 3)]
+        for _ in range(500):
+            d = rng.randint(1, 4)
+            a, b = (tuple(rng.choice(values) for _ in range(d)) for _ in "ab")
+            v, w = _intern([a, b])[1]
+            expected = kernel.dichotomous(v, w, (1,) * d)
+            assert cubes_dichotomous(a, b) == expected, (a, b)
 
     def test_rejects_wrong_count(self):
         with pytest.raises(WrongCount):
