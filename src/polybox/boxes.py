@@ -107,6 +107,8 @@ class Box:
 
     @classmethod
     def from_sets(cls, space: BoxSpace, sets: Sequence[Iterable[int]]) -> "Box":
+        if len(sets) != space.d:
+            raise ValueError("factor count does not match the space dimension")
         return cls(space, tuple(mask_of(s, n) for s, n in zip(sets, space.dims)))
 
     @property

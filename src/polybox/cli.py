@@ -19,14 +19,12 @@ document, error documents included, to stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from . import serialize as ser
-from .boxes import Box
 from .canon import canonical_form, suits_equivalent
 from .errors import (
     DEFAULT_BUDGET,
@@ -141,11 +139,7 @@ def _cmd_equiv(args) -> tuple[int, dict]:
 
 def _cmd_index(args) -> tuple[int, dict]:
     suit = _load_suit(args.suit, require_proper=True)
-    try:
-        raw = json.loads(args.box)
-        box = Box.from_sets(suit.space, [list(s) for s in raw])
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise InputError(f"invalid box: {exc}") from exc
+    box = ser.parse_box(suit.space, args.box)
     return 0, ser.report(args.command, index=suit_index(suit, box))
 
 

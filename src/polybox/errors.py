@@ -2,13 +2,15 @@
 
 Each class's `code`, the machine-readable name the CLI reports, is its
 class name.  Every exponential step states the log2 of its work and calls
-require_budget before it starts; run_with_budget sets the budget in force.
+require_budget before it starts.  run_with_budget is the one way to set the
+budget in force, for the CLI and for library callers alike; no function
+takes a budget of its own.
 """
 
 from __future__ import annotations
 
 import contextvars
-from typing import Callable, Optional
+from typing import Callable
 
 DEFAULT_BUDGET = 24
 _BUDGET = contextvars.ContextVar("polybox_budget", default=DEFAULT_BUDGET)
@@ -57,13 +59,13 @@ class BudgetExceeded(PolyboxError):
     """Instance too large for the budget in force."""
 
 
-def require_budget(bits: int, what: str, budget: Optional[int] = None) -> None:
-    """Refuse a step of 2^bits work over the budget (None: the one in force).
+def require_budget(bits: int, what: str) -> None:
+    """Refuse a step of 2^bits work over the budget in force.
 
     `what` names the step and measure ("partition search needs |X|_1").  A
     count n >= 1 is (n - 1).bit_length() bits, its log2 rounded up.
     """
-    limit = _BUDGET.get() if budget is None else budget
+    limit = _BUDGET.get()
     if bits > limit:
         raise BudgetExceeded(f"{what} = {bits} <= budget {limit}")
 

@@ -18,9 +18,7 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from . import words as kernel
 from .boxes import Box, BoxSpace, complement_action, same_space
-from .errors import (
-    EvenFactor, NotProper, SpaceMismatch, require_budget, run_with_budget
-)
+from .errors import EvenFactor, NotProper, SpaceMismatch, require_budget
 from .suits import Suit, verify_suit
 
 EpsilonVector = Sequence[int]
@@ -58,16 +56,14 @@ def suit_index(s: Suit, c: Box) -> int:
     return kernel.index(c.factors, [a.factors for a in s.boxes], s.space.full_masks)
 
 
-def index_representatives(
-    space: BoxSpace, budget: Optional[int] = None
-) -> Iterator[Box]:
+def index_representatives(space: BoxSpace) -> Iterator[Box]:
     """One box per complement class: factors full or containing element 0.
 
     Complementing flips the index sign factor-wise, so comparing indices on
     these representatives compares them on every box.
     """
     what = "index representative enumeration needs |X|_1"
-    require_budget(space.size_sum, what, budget)
+    require_budget(space.size_sum, what)
     per_factor = []
     for i, n in enumerate(space.dims):
         full = space.full_mask(i)
@@ -78,15 +74,14 @@ def index_representatives(
         yield Box(space, factors)
 
 
-def polybox_equal_by_index(f: Suit, g: Suit, budget: Optional[int] = None) -> bool:
+def polybox_equal_by_index(f: Suit, g: Suit) -> bool:
     """Polybox equality via index agreement on all class representatives.
 
     Both suits' nonzero indices are summed sparsely (words.index_sums) in
-    O(|F| 2^d), under `budget` when one is given, and compared whole; a
-    representative absent from both has index 0 in both.
+    O(|F| 2^d), under the budget in force (errors.run_with_budget sets
+    one), and compared whole; a representative absent from both has index
+    0 in both.
     """
-    if budget is not None:
-        return run_with_budget(budget, polybox_equal_by_index, f, g)
     if f.space != g.space:
         raise SpaceMismatch("suits live in different spaces")
     if not (f.is_proper and g.is_proper):
@@ -125,10 +120,10 @@ class BinaryCode:
             raise ValueError("binary codes label proper boxes only")
         return tuple(fn(m) for fn, m in zip(self.bit_fns, a.factors))
 
-    def validate(self, budget: Optional[int] = None) -> bool:
+    def validate(self) -> bool:
         """Exhaustively check the complement-sum invariant on every factor."""
         what = "binary code validation needs |X|_1"
-        require_budget(self.space.size_sum, what, budget)
+        require_budget(self.space.size_sum, what)
         for i, n in enumerate(self.space.dims):
             full = self.space.full_mask(i)
             fn = self.bit_fns[i]
@@ -220,16 +215,16 @@ def equicomplementary_labelling(
     return DyadicLabelling(space, label, labels)
 
 
-def _all_proper_boxes(space: BoxSpace, budget: Optional[int]) -> Iterator[Box]:
+def _all_proper_boxes(space: BoxSpace) -> Iterator[Box]:
     count = math.prod((1 << n) - 2 for n in space.dims)
     what = "proper box enumeration needs log2 count"
-    require_budget((count - 1).bit_length(), what, budget)
+    require_budget((count - 1).bit_length(), what)
     per_factor = [range(1, space.full_mask(i)) for i in range(space.d)]
     for factors in itertools.product(*per_factor):
         yield Box(space, factors)
 
 
-def verify_dyadic(l: DyadicLabelling, budget: Optional[int] = None) -> bool:
+def verify_dyadic(l: DyadicLabelling) -> bool:
     """Check surjectivity and the twin-pair exchange identity exhaustively.
 
     Two twin pairs share a union exactly when that union is a box with one
@@ -238,7 +233,7 @@ def verify_dyadic(l: DyadicLabelling, budget: Optional[int] = None) -> bool:
     """
     space = l.space
     seen = set()
-    for a in _all_proper_boxes(space, budget):
+    for a in _all_proper_boxes(space):
         seen.add(l(a))
     if seen != set(l.labels):
         return False

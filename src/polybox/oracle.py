@@ -16,23 +16,15 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .boxes import Box, BoxSpace, members_of
-from .errors import (
-    BudgetExceeded,
-    NoPartition,
-    TheoremViolation,
-    require_budget,
-    run_with_budget,
-)
+from .errors import BudgetExceeded, NoPartition, TheoremViolation, require_budget
 from .genomes import Alphabet, GenomeSet
 from .suits import PointSet, Suit, union_points
 
 Point = tuple[int, ...]
 
 
-def points_equal(f: Suit, g: Suit, budget: Optional[int] = None) -> bool:
+def points_equal(f: Suit, g: Suit) -> bool:
     """Ground truth for every polybox-equality criterion."""
-    if budget is not None:
-        return run_with_budget(budget, points_equal, f, g)
     for s in (f, g):
         require_budget(s.space.size_sum, "point enumeration needs |X|_1")
     return union_points(f).members == union_points(g).members
@@ -52,13 +44,13 @@ def _candidate_boxes(
             yield box
 
 
-def exhaustive_min_partition(g: PointSet, budget: Optional[int] = None) -> int:
+def exhaustive_min_partition(g: PointSet) -> int:
     """True minimum size over all partitions of g into proper boxes.
 
     Backtracks over the lexicographically least uncovered point with a
     simple covering lower bound.  Exponential; meant for tiny instances.
     """
-    require_budget(g.space.size_sum, "partition enumeration needs |X|_1", budget)
+    require_budget(g.space.size_sum, "partition enumeration needs |X|_1")
     if not g.members:
         return 0
     max_box = math.prod(n - 1 for n in g.space.dims)
@@ -84,14 +76,12 @@ def exhaustive_min_partition(g: PointSet, budget: Optional[int] = None) -> int:
     return best
 
 
-def enumerate_min_partitions(
-    g: PointSet, budget: Optional[int] = None
-) -> list[list[Box]]:
+def enumerate_min_partitions(g: PointSet) -> list[list[Box]]:
     """All partitions of g into proper boxes of minimal size.
 
     The anchor-point branching produces every partition exactly once.
     """
-    k = exhaustive_min_partition(g, budget)
+    k = exhaustive_min_partition(g)
     max_box = math.prod(n - 1 for n in g.space.dims)
 
     out: list[list[Box]] = []
@@ -131,19 +121,15 @@ def selection_mask(alphabet: Alphabet, letter: str) -> int:
     return mask
 
 
-def e_realization(
-    alphabet: Alphabet, v: Sequence[str], budget: Optional[int] = None
-) -> tuple[int, ...]:
+def e_realization(alphabet: Alphabet, v: Sequence[str]) -> tuple[int, ...]:
     """The box of v in the selection space: one selection mask per position."""
     m = len(alphabet.pairs)
-    require_budget(2 * m, "selection masks need 2 * letter pairs", budget)
+    require_budget(2 * m, "selection masks need 2 * letter pairs")
     word = alphabet.check_word(v)
     return tuple(selection_mask(alphabet, s) for s in word)
 
 
-def e_realization_covers(
-    v: Sequence[str], w: GenomeSet, budget: Optional[int] = None
-) -> bool:
+def e_realization_covers(v: Sequence[str], w: GenomeSet) -> bool:
     """Cover verdict by containment in the selection-space realization.
 
     The member boxes are verified pairwise disjoint there, so containment
@@ -151,8 +137,8 @@ def e_realization_covers(
     computed by popcounts of explicit masks.
     """
     alphabet = w.alphabet
-    vbox = e_realization(alphabet, v, budget)
-    wboxes = [e_realization(alphabet, x, budget) for x in w.words]
+    vbox = e_realization(alphabet, v)
+    wboxes = [e_realization(alphabet, x) for x in w.words]
     for a, b in itertools.combinations(wboxes, 2):
         if all((x & y).bit_count() for x, y in zip(a, b)):
             raise TheoremViolation("genome members overlap in the selection space")
@@ -231,16 +217,12 @@ def random_exact_realization(
 
 
 def random_realization_check(
-    v: Sequence[str],
-    w: GenomeSet,
-    space: BoxSpace,
-    seed: int,
-    budget: Optional[int] = None,
+    v: Sequence[str], w: GenomeSet, space: BoxSpace, seed: int
 ) -> bool:
     """Containment of v's image in the union of w's under one seeded exact
     realization; a single failure refutes the cover relation."""
     what = "realization point enumeration needs |X|_1"
-    require_budget(space.size_sum, what, budget)
+    require_budget(space.size_sum, what)
     for i, n in enumerate(space.dims):
         if n < 3:
             raise ValueError(f"factor {i} too small for an exact realization")

@@ -31,13 +31,17 @@ def dumps(doc: dict, fmt: str = "json") -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def loads(text: str) -> dict:
+def _json(text: str, what: str) -> Any:
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from exc
+        raise InputError(f"{what}: {exc}") from exc
     except RecursionError as exc:
-        raise InputError("invalid JSON: nested too deeply") from exc
+        raise InputError(f"{what}: nested too deeply") from exc
+
+
+def loads(text: str) -> dict:
+    obj = _json(text, "invalid JSON")
     if not isinstance(obj, dict):
         raise InputError("document must be a JSON object")
     return obj
@@ -56,7 +60,7 @@ def check_envelope(obj: dict, expected_kind: str | None = None) -> str:
 
 def _dims(obj: dict) -> BoxSpace:
     dims = obj.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(n, int) for n in dims):
+    if not isinstance(dims, list) or not all(type(n) is int for n in dims):
         raise InputError("dims must be a list of integers")
     try:
         return BoxSpace(tuple(dims))
@@ -73,8 +77,13 @@ def _box(space: BoxSpace, raw: Any, where: str) -> Box:
         raise InputError(f"{where}: {exc}") from exc
 
 
+def parse_box(space: BoxSpace, text: str) -> Box:
+    """A box given as a JSON array of subsets, checked as in documents."""
+    return _box(space, _json(text, "invalid box"), "invalid box")
+
+
 def _subset(raw: Any, where: str) -> list[int]:
-    if not isinstance(raw, list) or not all(isinstance(x, int) for x in raw):
+    if not isinstance(raw, list) or not all(type(x) is int for x in raw):
         raise InputError(f"{where}: subsets are integer arrays")
     return raw
 
@@ -109,7 +118,7 @@ def parse_points(obj: dict) -> PointSet:
         raise InputError("points must be a list")
     pts = []
     for p in raw:
-        if not isinstance(p, list) or not all(isinstance(x, int) for x in p):
+        if not isinstance(p, list) or not all(type(x) is int for x in p):
             raise InputError("each point is an integer array")
         pts.append(tuple(p))
     try:
@@ -155,7 +164,7 @@ def _alphabet(obj: dict) -> Alphabet:
 def parse_genome(obj: dict) -> GenomeSet:
     check_envelope(obj, "genome")
     d = obj.get("d")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise InputError("d must be a positive integer")
     alphabet = _alphabet(obj)
     raw = obj.get("words")
@@ -200,7 +209,7 @@ def parse_cubes(obj: dict) -> list[Cube]:
     """Cube rows of a tiling document, without the full-tiling count check."""
     check_envelope(obj, "tiling")
     d = obj.get("d")
-    if not isinstance(d, int) or d < 1:
+    if type(d) is not int or d < 1:
         raise InputError("d must be a positive integer")
     raw = obj.get("cubes")
     if not isinstance(raw, list) or not raw:

@@ -162,18 +162,18 @@ def _hat_of_points(g: PointSet) -> int:
     return count
 
 
-def hat_cardinality(g: Union[PointSet, Box], budget: Optional[int] = None) -> int:
+def hat_cardinality(g: Union[PointSet, Box]) -> int:
     """Size of the odd-intersection fingerprint of g."""
-    require_budget(g.space.size_sum, "fingerprint enumeration needs |X|_1", budget)
+    require_budget(g.space.size_sum, "fingerprint enumeration needs |X|_1")
     if isinstance(g, Box):
         return _hat_of_box(g)
     return _hat_of_points(g)
 
 
-def box_number(g: Union[PointSet, Box], budget: Optional[int] = None) -> Fraction:
+def box_number(g: Union[PointSet, Box]) -> Fraction:
     """|G|_0, exact; integral for every polybox but not in general."""
     space = g.space
-    return Fraction(hat_cardinality(g, budget), 1 << (space.size_sum - 2 * space.d))
+    return Fraction(hat_cardinality(g), 1 << (space.size_sum - 2 * space.d))
 
 
 def _proper_boxes_at(
@@ -193,9 +193,7 @@ def _proper_boxes_at(
             yield box
 
 
-def find_proper_partition(
-    g: PointSet, size: int, budget: Optional[int] = None
-) -> Optional[list[Box]]:
+def find_proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
     """A partition of g into at most `size` proper boxes, or None.
 
     Branches on the lexicographically least uncovered point so results are
@@ -203,7 +201,7 @@ def find_proper_partition(
     first.  With size = |g|_0 this decides polybox-ness, because no proper
     partition can be smaller than |g|_0.
     """
-    require_budget(g.space.size_sum, "partition search needs |X|_1", budget)
+    require_budget(g.space.size_sum, "partition search needs |X|_1")
     max_box = math.prod(n - 1 for n in g.space.dims)
 
     out: list[Box] = []
@@ -226,12 +224,12 @@ def find_proper_partition(
     return None
 
 
-def is_polybox(g: PointSet, budget: Optional[int] = None) -> bool:
+def is_polybox(g: PointSet) -> bool:
     """True iff g admits a partition into proper boxes of size |g|_0."""
-    return proper_suit_for(g, budget) is not None
+    return proper_suit_for(g) is not None
 
 
-def proper_suit_for(g: PointSet, budget: Optional[int] = None) -> Optional[Suit]:
+def proper_suit_for(g: PointSet) -> Optional[Suit]:
     """Some proper suit with union g, or None when g is not a polybox.
 
     A proper partition of minimal size |g|_0 is necessarily a suit, so the
@@ -239,18 +237,16 @@ def proper_suit_for(g: PointSet, budget: Optional[int] = None) -> Optional[Suit]
     """
     if not g.members:
         return None
-    b0 = box_number(g, budget)
+    b0 = box_number(g)
     if b0.denominator != 1 or b0 <= 0:
         return None
-    parts = find_proper_partition(g, int(b0), budget)
+    parts = find_proper_partition(g, int(b0))
     if parts is None:
         return None
     return verify_suit(parts, require_proper=True)
 
 
-def is_minimal_partition(
-    parts: Sequence[Box], g: PointSet, budget: Optional[int] = None
-) -> bool:
+def is_minimal_partition(parts: Sequence[Box], g: PointSet) -> bool:
     """Decide minimality of a proper-box partition of g by two routes.
 
     The counting route compares the size with |g|_0; the structural route
@@ -260,7 +256,7 @@ def is_minimal_partition(
     if not parts:
         raise NotAPartition("no parts given")
     # first, as box_number checks the budget before any point is listed
-    by_count = len(parts) == box_number(g, budget)
+    by_count = len(parts) == box_number(g)
     covered: set[Point] = set()
     total = 0
     for k, b in enumerate(parts):

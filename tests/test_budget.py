@@ -156,15 +156,15 @@ def test_minimality_check_refuses_before_listing_points():
     space = BoxSpace((3, 3))
     part = Box.from_sets(space, [{0, 1}, {0, 1}])
     with pytest.raises(BudgetExceeded):
-        is_minimal_partition([part], PointSet.full(space), budget=5)
+        run_with_budget(5, is_minimal_partition, [part], PointSet.full(space))
 
 
 def test_dyadic_check_counts_proper_boxes():
     # (2^3 - 2)^2 = 36 proper boxes: 6 bits
     labelling = equicomplementary_labelling(BoxSpace((3, 3)))
-    assert verify_dyadic(labelling, budget=6)
+    assert run_with_budget(6, verify_dyadic, labelling)
     with pytest.raises(BudgetExceeded):
-        verify_dyadic(labelling, budget=5)
+        run_with_budget(5, verify_dyadic, labelling)
 
 
 def test_index_route_is_bounded_by_its_sums_not_by_the_space():
@@ -176,4 +176,4 @@ def test_index_route_is_bounded_by_its_sums_not_by_the_space():
         g = random_suit_for_space(space, rng)
         assert polybox_equal_by_index(f, g) == suits_equivalent(f, g)
     with pytest.raises(BudgetExceeded):
-        polybox_equal_by_index(f, g, budget=7)
+        run_with_budget(7, polybox_equal_by_index, f, g)

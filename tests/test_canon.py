@@ -15,6 +15,7 @@ from polybox import (
 from polybox.errors import SpaceMismatch
 from polybox.generate import (
     distinct_suit_pair,
+    mutate_suit,
     random_proper_suit,
     random_space,
 )
@@ -147,10 +148,15 @@ class TestSuitsEquivalent:
 
 class TestAgreementWithIndexCriterion:
     def test_three_routes_agree_on_random_pairs(self, rng):
-        for _ in range(50):
-            space = random_space(rng, max_d=3, dim_choices=(2, 3, 4))
+        # 50 independent pairs with d <= 3, then 2,000 with d <= 4 in which
+        # every other g resplits f (mutate_suit), so equal verdicts are common
+        for k in range(50 + 2000):
+            space = random_space(rng, max_d=3 if k < 50 else 4, dim_choices=(2, 3, 4))
             f = random_proper_suit(space, rng, max_size=1 << space.d)
-            g = random_proper_suit(space, rng, max_size=1 << space.d)
+            if k >= 50 and k % 2 == 0:
+                g = mutate_suit(f, rng, moves=3)
+            else:
+                g = random_proper_suit(space, rng, max_size=1 << space.d)
             canon = suits_equivalent(f, g)
             index = polybox_equal_by_index(f, g)
             oracle = points_equal(f, g)

@@ -121,6 +121,17 @@ class TestIndexAndCodes:
         )
         assert code == 2 and doc["error"]["code"] == "InputError"
 
+    @pytest.mark.parametrize("box", [
+        "[" * 50_000 + "]" * 50_000,  # parsed like documents, not a traceback
+        "[[0],[1],[2]]",  # one subset more than the suit's two factors
+        "[[true],[1]]",  # a JSON boolean is not an element index
+    ], ids=["nested", "extra_subset", "boolean"])
+    def test_malformed_box_is_input_error(self, capsys, box):
+        code, doc = run_json(
+            capsys, "index", "--suit", fx("suit_x.json"), "--box", box
+        )
+        assert code == 2 and doc["error"]["code"] == "InputError"
+
 
 class TestGenomeCommands:
     def test_genome_canon(self, capsys):
@@ -297,6 +308,18 @@ class TestDeterminismAndFormats:
         path.write_text("[" * 100_000 + "]" * 100_000)
         code, doc = run_json(capsys, "verify-suit", str(path))
         assert code == 2 and doc["error"]["code"] == "InputError"
+
+    @pytest.mark.parametrize("command, doc", [
+        ("genome-canon", {"kind": "genome", "version": "1", "d": True,
+                          "pairs": [["a", "a'"]], "words": [["a"]]}),
+        ("boxnum", {"kind": "points", "version": "1", "dims": [3, 3],
+                    "points": [[True, False]]}),
+    ], ids=["genome_d", "point"])
+    def test_boolean_is_not_an_integer(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, out = run_json(capsys, command, str(path))
+        assert code == 2 and out["error"]["code"] == "InputError"
 
     def test_missing_file_is_input_error(self, capsys):
         code, doc = run_json(capsys, "canon", fx("missing.json"))

@@ -94,7 +94,8 @@ def argv(draw):
         "genome-equiv": ["--a", a, "--b", b, "--method",
                          draw(st.sampled_from(methods["genome-equiv"]))],
         "index": ["--suit", a, "--box",
-                  draw(st.sampled_from(["[[0],[0,1]]", "[[0]]"]) | text)],
+                  draw(st.sampled_from(["[[0],[0,1]]", "[[0]]"]) | text
+                       | junk.map(json.dumps))],
         "codes": [a, "--pattern", draw(st.sampled_from(["eo", "ml"]))],
         "cover": ["--genome", a, "--word",
                   draw(st.sampled_from(["a,b", "a',b", "a"]) | text)],

@@ -64,7 +64,7 @@ class TestPointsEqual:
         space = BoxSpace((5,) * 5)
         f = verify_suit([Box(space, (1,) * 5)])
         with pytest.raises(BudgetExceeded):
-            points_equal(f, f, budget=24)
+            points_equal(f, f)
 
 
 class TestMinPartition:

@@ -93,7 +93,7 @@ class TestHatCardinality:
     def test_budget(self):
         big = BoxSpace((20, 20))
         with pytest.raises(BudgetExceeded):
-            hat_cardinality(PointSet(big, frozenset()), budget=24)
+            hat_cardinality(PointSet(big, frozenset()))
 
     @given(st.data())
     @settings(max_examples=40)
