@@ -345,12 +345,12 @@ def reconstruct_minus(
 ) -> GenomeSet:
     """Recover the minus half of a full genome from its plus half.
 
-    Searches all words over the universe, restricted per position to letters
-    occurring there in the fragment and their complements, and keeps those
-    dichotomous to every fragment member; for a genuine plus half of a
-    2^d-element genome the survivors are exactly the missing words.  The
-    restriction to occurring letters is a completeness assumption; it is
-    exact for cube-tiling genomes.
+    Finds (`words.complete`) the words over the universe, restricted per
+    position to letters occurring there in the fragment and their
+    complements, that are dichotomous to every fragment member; for a
+    genuine plus half of a 2^d-element genome these are exactly the missing
+    words.  The restriction to occurring letters is a completeness
+    assumption; it is exact for cube-tiling genomes.
     """
     d = w_plus.d
     if expected_size != 1 << d:

@@ -146,6 +146,12 @@ def parse_point_source(obj: dict) -> tuple[str, Any]:
     raise InputError(f"expected a suit or points document, got {kind}")
 
 
+def _letters(raw: list) -> tuple[str, ...]:
+    if not all(isinstance(s, str) for s in raw):
+        raise InputError("letters must be JSON strings")
+    return tuple(raw)
+
+
 def _alphabet(obj: dict) -> Alphabet:
     raw = obj.get("pairs")
     if not isinstance(raw, list) or not raw:
@@ -154,7 +160,7 @@ def _alphabet(obj: dict) -> Alphabet:
     for p in raw:
         if not isinstance(p, list) or len(p) != 2:
             raise InputError("each letter pair is a two-element array")
-        pairs.append((str(p[0]), str(p[1])))
+        pairs.append(_letters(p))
     try:
         return Alphabet(tuple(pairs))
     except ValueError as exc:
@@ -174,7 +180,7 @@ def parse_genome(obj: dict) -> GenomeSet:
     for w in raw:
         if not isinstance(w, list):
             raise InputError("each word is an array of letters")
-        words.append(tuple(str(s) for s in w))
+        words.append(_letters(w))
     try:
         return GenomeSet(alphabet, d, tuple(words))
     except ValueError as exc:

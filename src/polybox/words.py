@@ -12,6 +12,7 @@ itself, so expansion and index sums serve every layer unchanged.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from operator import eq, xor
@@ -152,56 +153,48 @@ def index(u: Sequence[int], words: Sequence[Sequence[int]], flip: Word) -> int:
 def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     """The words completing members to 2^d pairwise dichotomous words (d >= 1).
 
-    Searches all words whose letter at each position occurs there among the
-    members or is the complement of one, and keeps those dichotomous to
-    every member.  Raises Incomplete or NotUnique unless the survivors are
-    exactly the missing words and pairwise dichotomous with the members.
+    Finds, in lexicographic order, every word whose letter at each position
+    occurs there among the members or is the complement of one and which is
+    dichotomous to every member.  The search branches on the lowest member
+    no chosen letter is complementary to yet: some free position must take
+    the complement of its letter, and each earlier branch's letter is banned
+    at its position in the later ones, so every word is found once.  Raises
+    Incomplete or NotUnique unless the words found are exactly the missing
+    ones and pairwise dichotomous with the members.
     """
     d = len(flip)
     m = len(members)
     if m > 1 << d:
         raise ValueError("fragment larger than the expected genome")
-    full_hit = (1 << m) - 1
 
-    # cand[i]: (letter, members it is complementary to at position i)
-    cand: list[list[tuple[int, int]]] = []
+    # hit[i][x]: the members letter x is complementary to at position i
+    hit: list[dict[int, int]] = []
     for i, f in enumerate(flip):
         having: dict[int, int] = defaultdict(int)
         for k, w in enumerate(members):
             having[w[i]] |= 1 << k
-        letters = set(having) | {x ^ f for x in having}
-        cand.append([(s, having.get(s ^ f, 0)) for s in sorted(letters)])
-    prefixes = math.prod(len(c) for c in cand[:-1])
+        hit.append(dict.fromkeys(having, 0) | {x ^ f: b for x, b in having.items()})
+    prefixes = math.prod(len(h) for h in hit[:-1])
     bits = max(2 * d, (prefixes - 1).bit_length())
     require_budget(bits, "completion needs log2 max(4^d, prefixes)")
 
-    # Every position's candidates together hit every member, so no prefix
-    # can be ruled out before the last position.  There the candidates hit
-    # disjoint sets of members, so the members not hit yet are all hit by
-    # one letter or by none: the complement of the lowest one's letter.
     found: list[Word] = []
-    prefix: list[int] = []
-    last = d - 1
-    last_flip = flip[last]
-    last_hit = dict(cand[last])
+    complements = [tuple(map(xor, w, flip)) for w in members]
 
-    def rec(i: int, mask: int):
-        if i == last:
-            need = full_hit & ~mask
-            if not need:
-                head = tuple(prefix)
-                found.extend(head + (x,) for x, _ in cand[last])
-            else:
-                x = members[(need & -need).bit_length() - 1][last] ^ last_flip
-                if last_hit[x] & need == need:
-                    found.append(tuple(prefix) + (x,))
+    def rec(unhit: int, allowed: list[tuple[int, ...]]) -> None:
+        if not unhit:
+            found.extend(itertools.product(*allowed))
             return
-        for letter, hit in cand[i]:
-            prefix.append(letter)
-            rec(i + 1, mask | hit)
-            prefix.pop()
+        allowed = list(allowed)
+        for j, y in enumerate(complements[(unhit & -unhit).bit_length() - 1]):
+            rest = allowed[j]
+            if y in rest:
+                allowed[j] = (y,)
+                rec(unhit & ~hit[j][y], allowed)
+                allowed[j] = tuple(z for z in rest if z != y)
 
-    rec(0, 0)
+    rec((1 << m) - 1, [tuple(h) for h in hit])
+    found.sort()
 
     missing = (1 << d) - m
     if len(found) < missing:

@@ -321,6 +321,19 @@ class TestDeterminismAndFormats:
         code, out = run_json(capsys, command, str(path))
         assert code == 2 and out["error"]["code"] == "InputError"
 
+    @pytest.mark.parametrize("pairs, words", [
+        ([[True, None]], [[True]]),
+        ([["1", "1'"]], [[1]]),
+    ], ids=["pair", "word"])
+    def test_letters_must_be_strings(self, capsys, tmp_path, pairs, words):
+        # str() once turned these into the letters "True" and "1"
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps(
+            {"kind": "genome", "version": "1", "d": 1, "pairs": pairs, "words": words}
+        ))
+        code, out = run_json(capsys, "genome-canon", str(path))
+        assert code == 2 and out["error"]["code"] == "InputError"
+
     def test_missing_file_is_input_error(self, capsys):
         code, doc = run_json(capsys, "canon", fx("missing.json"))
         assert code == 2 and doc["error"]["code"] == "InputError"

@@ -2,10 +2,10 @@
 
 `pairwise_first_clash` is the pair-by-pair dichotomy check the per-letter
 bitset version of `require_dichotomous` replaced, `brute_complete`
-enumerates every candidate word at once where `complete` searches depth
-first, and `dense_index_sums` scans `index` over every starred positive
-word where `index_sums` visits only the nonzero ones.  All run on box masks
-(flip = full masks) and on interned letters (flip = 1).
+enumerates every candidate word at once where `complete` branches on the
+members not yet hit, and `dense_index_sums` scans `index` over every
+starred positive word where `index_sums` visits only the nonzero ones.  All
+run on box masks (flip = full masks) and on interned letters (flip = 1).
 """
 
 from __future__ import annotations
@@ -151,8 +151,8 @@ class TestComplete:
     def test_matches_brute_force_on_letters(self):
         rng = random.Random(53)
         solved = 0
-        for _ in range(200):
-            d = rng.randint(1, 4)
+        for _ in range(250):
+            d = rng.randint(1, 5)
             flip = (1,) * d
             words = genome_words(rng, d)
             rng.shuffle(words)
@@ -168,7 +168,7 @@ class TestComplete:
         rng = random.Random(54)
         solved = 0
         for _ in range(150):
-            d = rng.randint(1, 3)
+            d = rng.randint(1, 4)
             words, flip = suit_words(rng, d)
             rng.shuffle(words)
             members = words[: rng.randint(0, len(words))]
