@@ -1,11 +1,14 @@
-"""Canonical forms deciding polybox equality in |suit| * 2^d time.
+"""Canonical forms and the polybox equality they decide.
 
 Every proper box projects onto the basis of boxes whose factors are either
 full or proper subsets containing element 0: a factor already of that shape
 stays itself, any other factor A becomes X - (X \\ A).  Distributing the
 product writes the box as at most 2^d signed basis boxes, and two proper
 suits describe the same polybox exactly when their summed expansions agree
-coefficient by coefficient.
+coefficient by coefficient.  The comparison (words.same_expansion) never
+builds a whole form: boxes both suits hold cancel, one evaluation of each
+remainder mod a prime refutes most unequal pairs in |suit| * d time, and
+only a match is confirmed by expanding the remainders (|remainder| * 2^d).
 """
 
 from __future__ import annotations
@@ -59,17 +62,23 @@ def project_box(a: Box) -> CanonicalForm:
     return CanonicalForm(a.space, kernel.expand([a.factors], a.space.full_masks))
 
 
-def canonical_form(s: Suit) -> CanonicalForm:
-    """Coefficient-wise sum of the member projections."""
+def _proper_words(s: Suit) -> list[BasisKey]:
     if not s.is_proper:
         raise ValueError("only proper boxes are projected")
-    return CanonicalForm(
-        s.space, kernel.expand([a.factors for a in s.boxes], s.space.full_masks)
-    )
+    return [a.factors for a in s.boxes]
+
+
+def canonical_form(s: Suit) -> CanonicalForm:
+    """Coefficient-wise sum of the member projections."""
+    return CanonicalForm(s.space, kernel.expand(_proper_words(s), s.space.full_masks))
 
 
 def suits_equivalent(f: Suit, g: Suit) -> bool:
-    """True iff the suits define the same polybox."""
+    """True iff the suits define the same polybox: equal canonical forms."""
     if f.space != g.space:
         raise SpaceMismatch("suits live in different spaces")
-    return canonical_form(f) == canonical_form(g)
+    flip = f.space.full_masks
+    fw = _proper_words(f)
+    # f's budget refuses before g's properness, as when each form was built
+    kernel.require_expansion(fw)
+    return kernel.same_expansion(fw, _proper_words(g), flip)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 import string
+from operator import xor
 from typing import Optional
 
 from . import words as kernel
@@ -133,23 +134,26 @@ def random_genome(
     size: Optional[int] = None,
     moves: int = 3,
 ) -> GenomeSet:
-    """A genome sampled from a complement class and shuffled by twin moves."""
-    base = random_word(alphabet, d, rng)
-    cls = []
-    for eps in itertools.product((0, 1), repeat=d):
-        cls.append(
-            tuple(
-                alphabet.complement(s) if e else s for s, e in zip(base, eps)
-            )
-        )
+    """A genome sampled from a complement class and shuffled by twin moves.
+
+    It works in kernel letters, where complementing is x ^ 1, and builds
+    and validates one GenomeSet at the end.
+    """
+    base = alphabet.encode(random_word(alphabet, d, rng))
+    cls = [tuple(map(xor, base, eps)) for eps in itertools.product((0, 1), repeat=d)]
     cap = len(cls) if size is None else min(size, len(cls))
-    words = rng.sample(cls, cap)
-    genome = GenomeSet(alphabet, d, tuple(words))
-    return mutate_genome(genome, rng, moves)
+    return _resplit_genome(alphabet, d, rng.sample(cls, cap), rng, moves)
 
 
 def mutate_genome(g: GenomeSet, rng: random.Random, moves: int = 3) -> GenomeSet:
     """Substitute random twin word pairs with a fresh complementary pair."""
-    letters = g.alphabet.encode(g.alphabet.letters())
-    codes = _resplit(g.codes, (1,) * g.d, rng, moves, lambda c: rng.choice(letters))
-    return GenomeSet(g.alphabet, g.d, tuple(g.alphabet.decode(w) for w in codes))
+    return _resplit_genome(g.alphabet, g.d, g.codes, rng, moves)
+
+
+def _resplit_genome(
+    alphabet: Alphabet, d: int, codes, rng: random.Random, moves: int
+) -> GenomeSet:
+    """The GenomeSet of the codes after `moves` twin resplits."""
+    letters = alphabet.encode(alphabet.letters())
+    codes = _resplit(codes, (1,) * d, rng, moves, lambda c: rng.choice(letters))
+    return GenomeSet(alphabet, d, tuple(alphabet.decode(w) for w in codes))

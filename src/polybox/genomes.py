@@ -244,23 +244,34 @@ def _check_comparable(v: GenomeSet, w: GenomeSet):
 
 def equivalent_by_canon(v: GenomeSet, w: GenomeSet) -> bool:
     _check_comparable(v, w)
-    return kernel.expand(v.codes, _flip(v.d)) == kernel.expand(w.codes, _flip(w.d))
+    return kernel.same_expansion(v.codes, w.codes, _flip(v.d))
 
 
 def equivalent_by_index(v: GenomeSet, w: GenomeSet) -> bool:
-    """Equal indices on every starred positive word over occurring letters,
-    compared as sparse sums (words.index_sums) in O(|W| 2^d)."""
+    """Equal indices on every starred positive word over occurring letters.
+
+    A genome's nonzero indices are its expansion with stars, compared by
+    words.same_expansion: words both genomes hold cancel, one evaluation of
+    each remainder mod a prime refutes most unequal pairs, and only a match
+    is confirmed by summing the remainders' indices in O(|remainder| 2^d).
+    """
     _check_comparable(v, w)
-    flip = _flip(v.d)
-    return kernel.index_sums(v.codes, flip) == kernel.index_sums(w.codes, flip)
+    return kernel.same_expansion(v.codes, w.codes, _flip(v.d), stars=True)
 
 
 def equivalent_by_cover(v: GenomeSet, w: GenomeSet) -> bool:
+    """Equal sizes and each genome covering the other's words.
+
+    A word the other genome holds is covered with overlap sum exactly 2^d
+    (every other member is dichotomous to it), so only the words it lacks
+    are checked, in genome order: the first to fail or raise is the same.
+    """
     _check_comparable(v, w)
-    return (
-        len(v) == len(w)
-        and all(covers(x, w).covered for x in v.words)
-        and all(covers(x, v).covered for x in w.words)
+    if len(v) != len(w):
+        return False
+    held_v, held_w = set(v.words), set(w.words)
+    return all(covers(x, w).covered for x in v.words if x not in held_w) and all(
+        covers(x, v).covered for x in w.words if x not in held_v
     )
 
 

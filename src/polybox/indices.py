@@ -77,10 +77,13 @@ def index_representatives(space: BoxSpace) -> Iterator[Box]:
 def polybox_equal_by_index(f: Suit, g: Suit) -> bool:
     """Polybox equality via index agreement on all class representatives.
 
-    Both suits' nonzero indices are summed sparsely (words.index_sums) in
-    O(|F| 2^d), under the budget in force (errors.run_with_budget sets
-    one), and compared whole; a representative absent from both has index
-    0 in both.
+    A suit's nonzero indices are its expansion with stars (words.expand),
+    and words.same_expansion compares the two suits' without summing them
+    whole: boxes both suits hold cancel, one evaluation of each remainder
+    mod a prime refutes most unequal pairs, and only a match is confirmed
+    by summing the remainders' indices in O(|remainder| 2^d).  A
+    representative absent from both sums has index 0 in both.  The budget
+    in force (errors.run_with_budget sets one) bounds |F| 2^d and |G| 2^d.
     """
     if f.space != g.space:
         raise SpaceMismatch("suits live in different spaces")
@@ -88,7 +91,7 @@ def polybox_equal_by_index(f: Suit, g: Suit) -> bool:
         raise ValueError("phi is defined on proper boxes only")
     flip = f.space.full_masks
     fw, gw = ([a.factors for a in s.boxes] for s in (f, g))
-    return kernel.index_sums(fw, flip) == kernel.index_sums(gw, flip)
+    return kernel.same_expansion(fw, gw, flip, stars=True)
 
 
 def apply_epsilon(s: Suit, eps: EpsilonVector) -> Suit:

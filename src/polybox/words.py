@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
-from operator import eq, xor
+from collections import Counter, defaultdict
+from operator import eq, getitem, xor
 from typing import Optional, Sequence
 
 from .errors import Incomplete, NotDichotomous, NotUnique, require_budget
@@ -94,6 +94,16 @@ def epsilon(
     return tuple(eps)
 
 
+def require_expansion(words: Sequence[Sequence[int]], stars: bool = False) -> None:
+    """Refuse, before it starts, an expansion over the budget in force.
+
+    A word has 2^(its negative letters) terms, or 2^d with stars.
+    """
+    positive = (1).__and__
+    size = sum(1 << len(w) - (0 if stars else sum(map(positive, w))) for w in words)
+    require_budget((size - 1).bit_length(), "expansion needs log2 terms")
+
+
 def expand(
     words: Sequence[Sequence[int]], flip: Word, stars: bool = False
 ) -> dict[Word, int]:
@@ -103,9 +113,15 @@ def expand(
     positive letter x ^ flip[i], so a word expands to 2^(its negative
     letters) terms; with stars, each positive letter x also becomes the
     star plus x, for 2^d terms.  Zero coefficients of the sum are dropped.
+
+    With stars, the expansion is the words' summed indices (see index): a
+    word's index is nonzero only on the 2^d starred positive words u
+    holding at each position the star or its own pair's positive letter
+    (-1 against a negative letter), so all nonzero indices cost
+    O(|words| 2^d) instead of one scan of the words per class
+    representative.
     """
-    size = sum(1 << sum(stars or not x & 1 for x in w) for w in words)
-    require_budget((size - 1).bit_length(), "expansion needs log2 terms")
+    require_expansion(words, stars)
     coeffs: dict[Word, int] = defaultdict(int)
     for w in words:
         terms: list[tuple[Word, int]] = [((), 1)]
@@ -118,15 +134,47 @@ def expand(
     return {key: c for key, c in coeffs.items() if c}
 
 
-def index_sums(words: Sequence[Sequence[int]], flip: Word) -> dict[Word, int]:
-    """index(u, words, flip) at every starred positive u where it is nonzero.
+# A Mersenne prime: residues of expansions are compared mod P.
+P = (1 << 61) - 1
 
-    A word is nonzero only on the 2^d words u holding at each position the
-    star or its own pair's positive letter (-1 against a negative letter),
-    which is its expansion with stars: O(|words| 2^d) in all, instead of one
-    scan of the words per class representative.
+
+def same_expansion(
+    v: Sequence[Word], w: Sequence[Word], flip: Word, stars: bool = False
+) -> bool:
+    """expand(v, flip, stars) == expand(w, flip, stars), decided on what differs.
+
+    Expansion is linear in the words, so the words both sides hold cancel,
+    counted with multiplicity.  Replacing each starred positive letter x at
+    position i by the residue r_i(x) = hash((i, x)) mod P is linear too and
+    multiplies across positions, so a remaining word evaluates, without
+    being expanded, to the product of its letters' entries: r_i(x) for a
+    positive letter (r_i(star) + r_i(x) with stars) and
+    r_i(star) - r_i(x ^ star) for a negative one.  Different sums prove that
+    the expansions differ; equal sums are confirmed by expanding the
+    remainders, so the verdict is exact on every input.  Both sides' budget
+    checks run first, with expand's bits and message.
     """
-    return expand(words, flip, stars=True)
+    require_expansion(v, stars)
+    require_expansion(w, stars)
+    count = Counter(v)
+    count.subtract(w)
+    rv = [u for u, k in count.items() for _ in range(k)]
+    rw = [u for u, k in count.items() for _ in range(-k)]
+    tables = []
+    for i, (f, column) in enumerate(zip(flip, zip(*rv, *rw))):
+        star = hash((i, f))
+        plus = star if stars else 0
+        tables.append({
+            x: plus + hash((i, x)) if x & 1 else star - hash((i, x ^ f))
+            for x in set(column)
+        })
+
+    def residue(words: list[Word]) -> int:
+        return sum(math.prod(map(getitem, tables, u)) for u in words) % P
+
+    if residue(rv) != residue(rw):
+        return False
+    return expand(rv, flip, stars) == expand(rw, flip, stars)
 
 
 def index(u: Sequence[int], words: Sequence[Sequence[int]], flip: Word) -> int:

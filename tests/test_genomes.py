@@ -29,6 +29,7 @@ from polybox.generate import (
     random_genome,
     random_word,
 )
+from polybox.genomes import equivalent_by_cover
 from polybox.oracle import (
     e_realization_covers,
     e_realization_covers_points,
@@ -217,6 +218,37 @@ class TestEquivalence:
         w = genome(ABCD, 1, ("a",))
         with pytest.raises(SpaceMismatch):
             genomes_equivalent(v, w)
+
+    def test_cover_route_matches_all_words_route(self, rng):
+        def all_words(v, w):
+            """Every word of each genome checked against the other."""
+            return (
+                len(v) == len(w)
+                and all(covers(x, w).covered for x in v.words)
+                and all(covers(x, v).covered for x in w.words)
+            )
+
+        def without_one(g):
+            words = list(g.words)
+            del words[rng.randrange(len(words))]
+            return GenomeSet(g.alphabet, g.d, tuple(words))
+
+        verdicts = []
+        for k in range(600):
+            alphabet = random_alphabet(rng, max_pairs=3)
+            d = rng.randint(1, 4)
+            v = random_genome(alphabet, d, rng, size=rng.randint(2, 1 << d))
+            if k % 3 == 0:
+                w = mutate_genome(v, rng, moves=rng.randint(0, 2))
+            elif k % 3 == 1:  # most words shared, verdict either way
+                w = without_one(mutate_genome(v, rng, moves=1))
+                v = without_one(v)
+            else:
+                w = random_genome(alphabet, d, rng, size=len(v))
+            verdict = equivalent_by_cover(v, w)
+            assert verdict == all_words(v, w)
+            verdicts.append(verdict)
+        assert 250 <= sum(verdicts) <= 450
 
 
 class TestRigidityWitness:

@@ -3,8 +3,9 @@
 `pairwise_first_clash` is the pair-by-pair dichotomy check the per-letter
 bitset version of `require_dichotomous` replaced, `brute_complete`
 enumerates every candidate word at once where `complete` branches on the
-members not yet hit, and `dense_index_sums` scans `index` over every
-starred positive word where `index_sums` visits only the nonzero ones.  All
+members not yet hit, `dense_index_sums` scans `index` over every starred
+positive word where `expand` with stars visits only the nonzero ones, and
+comparing two whole expansions is the reference for `same_expansion`.  All
 run on box masks (flip = full masks) and on interned letters (flip = 1).
 """
 
@@ -16,7 +17,7 @@ import random
 import pytest
 from polybox import BoxSpace, index_representatives, polybox_equal_by_index
 from polybox import words as kernel
-from polybox.errors import NotDichotomous, PolyboxError
+from polybox.errors import BudgetExceeded, NotDichotomous, PolyboxError, run_with_budget
 from polybox.generate import (
     letter_names,
     mutate_genome,
@@ -223,13 +224,15 @@ def dense_genomes_equal(v, w):
 
 class TestIndexSums:
     def test_small_words_by_hand(self):
-        assert kernel.index_sums([], (1, 1)) == {}
-        assert kernel.index_sums([(3,)], (1,)) == {(1,): 1, (3,): 1}
-        assert kernel.index_sums([(2,)], (1,)) == {(1,): 1, (3,): -1}
-        assert kernel.index_sums([(3,), (2,)], (1,)) == {(1,): 2}
+        assert kernel.expand([], (1, 1), stars=True) == {}
+        assert kernel.expand([(3,)], (1,), stars=True) == {(1,): 1, (3,): 1}
+        assert kernel.expand([(2,)], (1,), stars=True) == {(1,): 1, (3,): -1}
+        assert kernel.expand([(3,), (2,)], (1,), stars=True) == {(1,): 2}
         # masks in a 3-element factor: {0} is positive, {1, 2} is not
-        assert kernel.index_sums([(0b001,), (0b110,)], (0b111,)) == {(0b111,): 2}
-        assert kernel.index_sums([(0b010, 0b011)], (0b111, 0b111)) == {
+        assert kernel.expand([(0b001,), (0b110,)], (0b111,), stars=True) == {
+            (0b111,): 2
+        }
+        assert kernel.expand([(0b010, 0b011)], (0b111, 0b111), stars=True) == {
             (0b111, 0b111): 1,
             (0b111, 0b011): 1,
             (0b101, 0b111): -1,
@@ -251,7 +254,7 @@ class TestIndexSums:
                 if kind == 2:
                     words = damaged(rng, words, letters)
             letters = [{*s, *(w[i] for w in words)} for i, s in enumerate(letters)]
-            assert kernel.index_sums(words, flip) == dense_index_sums(
+            assert kernel.expand(words, flip, stars=True) == dense_index_sums(
                 words, flip, letters
             )
 
@@ -264,7 +267,7 @@ class TestIndexSums:
             if rng.randrange(2):
                 words = damaged(rng, words, letters)
             words = words[: rng.randint(0, len(words))]
-            assert kernel.index_sums(words, flip) == dense_index_sums(
+            assert kernel.expand(words, flip, stars=True) == dense_index_sums(
                 words, flip, letters
             )
 
@@ -301,3 +304,115 @@ class TestIndexSums:
             assert verdict == dense_genomes_equal(v, w)
             verdicts.append(verdict)
         assert 45 <= sum(verdicts) < 80
+
+
+def same_by_expanding(v, w, flip, stars):
+    return kernel.expand(v, flip, stars) == kernel.expand(w, flip, stars)
+
+
+def regrouped(rng, words, flip, letters):
+    """A shuffled copy with the same expansion: disjoint twin pairs are
+    resplit into another letter and its complement, or merged into one word
+    holding the star."""
+    out = list(words)
+    used, dropped = set(), set()
+    for i, j, at in kernel.twin_pairs(words, flip):
+        if used & {i, j}:
+            continue
+        used |= {i, j}
+        if rng.randrange(3):
+            y = rng.choice(letters[at])
+            out[i], out[j] = (
+                out[i][:at] + (z,) + out[i][at + 1:] for z in (y, y ^ flip[at])
+            )
+        else:
+            out[i] = out[i][:at] + (flip[at],) + out[i][at + 1:]
+            dropped.add(j)
+    out = [u for k, u in enumerate(out) if k not in dropped]
+    rng.shuffle(out)
+    return out
+
+
+class TestSameExpansion:
+    def pairs(self, rng, n):
+        """(v, w, flip): equal pairs by regrouping or permuting, unequal
+        pairs, duplicate words and empty sides, on letters (flip = 1) and
+        masks, d <= 5."""
+        for k in range(n):
+            d = rng.randint(1, 5)
+            if k % 2:
+                flip = (1,) * d
+                letters = [range(2, 2 * rng.randint(1, 3) + 2)] * d
+                words = genome_words(rng, d)
+            else:
+                words, flip = suit_words(rng, min(d, 4))
+                letters = [range(1, f) for f in flip]
+            words = words[: rng.randint(0, len(words))]
+            kind = rng.randrange(6)
+            if kind == 0:
+                other = regrouped(rng, words, flip, letters)
+            elif kind == 1:
+                other = rng.sample(words, len(words))
+            elif kind == 2:
+                other = damaged(rng, words, letters) if words else words
+            elif kind == 3:
+                other = [tuple(rng.choice(s) for s in letters) for _ in words]
+            elif kind == 4:
+                other = []
+            else:
+                other = regrouped(rng, words, flip, letters)
+                extra = [tuple(rng.choice(s) for s in letters)] * rng.randint(1, 3)
+                words = words + extra
+                other = other + extra[: rng.randint(0, len(extra))]
+            yield (words, other, flip) if rng.randrange(2) else (other, words, flip)
+
+    def test_matches_full_expansion(self):
+        rng = random.Random(61)
+        verdicts = []
+        for v, w, flip in self.pairs(rng, 1500):
+            for stars in (False, True):
+                verdict = kernel.same_expansion(v, w, flip, stars)
+                assert verdict == same_by_expanding(v, w, flip, stars), (v, w, flip)
+            verdicts.append(verdict)
+        assert 500 <= sum(verdicts) <= 1000
+
+    def test_duplicates_cancel_as_a_multiset(self):
+        v = [(6,), (7,), (3,), (5,)]
+        w = [(6,), (5,), (3,), (2,), (5,)]
+        for stars in (False, True):
+            assert same_by_expanding(v, w, (7,), stars)
+            assert kernel.same_expansion(v, w, (7,), stars)
+            assert not kernel.same_expansion(v + [(5,)], w, (7,), stars)
+        assert kernel.same_expansion([], [], (1, 1))
+        assert kernel.same_expansion([(2,), (3,)], [(1,)], (1,))
+        assert not kernel.same_expansion([(2,), (3,)], [], (1,))
+
+    def test_refutes_without_expanding(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("expanded")
+
+        v = [(2, 3, 5), (3, 2, 4)]
+        w = [(3, 3, 5), (2, 2, 4)]
+        flip = (1, 1, 1)
+        for stars in (False, True):
+            assert not same_by_expanding(v, w, flip, stars)
+        monkeypatch.setattr(kernel, "expand", refuse)
+        for stars in (False, True):
+            assert not kernel.same_expansion(v, w, flip, stars)
+        # equal residues are confirmed by expanding: (2, 3, 5) + (3, 3, 5)
+        # is the starred word (1, 3, 5)
+        with pytest.raises(AssertionError, match="expanded"):
+            kernel.same_expansion([(2, 3, 5), (3, 3, 5)], [(1, 3, 5)], flip)
+
+    def test_budget_refuses_before_any_work(self):
+        v = [(2,) * 8, (3,) * 8]  # 2^8 + 1 terms, or 2 * 2^8 with stars
+        w = [(2,) * 7 + (3,)]  # 2^7 terms, or 2^8 with stars
+        flip = (1,) * 8
+        for stars, first, second in ((False, v, w), (False, w, v), (True, w, v)):
+            with pytest.raises(BudgetExceeded) as expected:
+                run_with_budget(7, kernel.expand, first, flip, stars)
+                run_with_budget(7, kernel.expand, second, flip, stars)
+            with pytest.raises(BudgetExceeded) as got:
+                run_with_budget(7, kernel.same_expansion, first, second, flip, stars)
+            assert str(got.value) == str(expected.value)
+        assert str(got.value) == "expansion needs log2 terms = 8 <= budget 7"
