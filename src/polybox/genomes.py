@@ -218,9 +218,12 @@ def covers(v: Sequence[str], w: GenomeSet) -> CoverResult:
     v = w.alphabet.check_word(v)
     if len(v) != w.d:
         raise ValueError("word has wrong length")
-    code = w.alphabet.encode(v)
+    return _overlap(w.alphabet.encode(v), w.codes)
+
+
+def _overlap(code: tuple[int, ...], members: Sequence[tuple[int, ...]]) -> CoverResult:
     total = 0
-    for member in w.codes:
+    for member in members:
         g = 1
         for s, t in zip(code, member):
             if s == t:
@@ -229,7 +232,7 @@ def covers(v: Sequence[str], w: GenomeSet) -> CoverResult:
                 g = 0
                 break
         total += g
-    bound = 1 << w.d
+    bound = 1 << len(code)
     if total > bound:
         raise GSumExceeds2d(f"overlap sum {total} exceeds {bound}")
     return CoverResult(total == bound, bound - total, total)
@@ -269,10 +272,10 @@ def equivalent_by_cover(v: GenomeSet, w: GenomeSet) -> bool:
     _check_comparable(v, w)
     if len(v) != len(w):
         return False
-    held_v, held_w = set(v.words), set(w.words)
-    return all(covers(x, w).covered for x in v.words if x not in held_w) and all(
-        covers(x, v).covered for x in w.words if x not in held_v
-    )
+    held_v, held_w = set(v.codes), set(w.codes)
+    return all(
+        _overlap(c, w.codes).covered for c in v.codes if c not in held_w
+    ) and all(_overlap(c, v.codes).covered for c in w.codes if c not in held_v)
 
 
 def genomes_equivalent(v: GenomeSet, w: GenomeSet) -> bool:

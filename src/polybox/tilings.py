@@ -15,6 +15,7 @@ import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import words as kernel
@@ -40,29 +41,31 @@ def _intern(
     their letters number.  Values x and x + 1 mod 2 form one letter pair,
     numbered k by the fractional part (p mod q, q) of x = p/q in order of
     first occurrence; x is the positive letter 2k+3 in [0, 1) and the
-    negative letter 2k+2 in [1, 2).  A Fraction is taken as it is, each
-    distinct string is parsed once, and each distinct value is checked and
-    interned once.
+    negative letter 2k+2 in [1, 2).  Each distinct string is parsed once, and
+    each letter is kept by the id() of its Fraction, which the cubes hold until
+    the call returns, so no id is reused.  A row of known values resolves in
+    one pass; any other row is parsed whole, then range-checked.
     """
     parsed: dict[str, Fraction] = {}
+    letters: dict[int, int] = {}
     pairs: dict[tuple[int, int], int] = {}
-    seen: dict[tuple[int, int], int] = {}
     cubes = []
     words = []
     for row in rows:
-        cube = tuple(x if type(x) is Fraction else _parse(x, parsed) for x in row)
-        word = []
-        for x in cube:
-            p, q = x.numerator, x.denominator
-            letter = seen.get((p, q))
-            if letter is None:
+        try:
+            cube = tuple(map(parsed.__getitem__, row) if type(row[0]) is str else row)
+            word = tuple(map(letters.__getitem__, map(id, cube)))
+        except (IndexError, KeyError, TypeError):
+            cube = tuple(x if type(x) is Fraction else _parse(x, parsed) for x in row)
+            for x in cube:
+                p, q = x.numerator, x.denominator
                 if not 0 <= p < 2 * q:
                     raise CoordOutOfRange(f"coordinate {_shown(x)} outside [0, 2)")
                 k = pairs.setdefault((p % q, q), len(pairs))
-                letter = seen[p, q] = 2 * k + 3 - p // q
-            word.append(letter)
+                letters[id(x)] = 2 * k + 3 - p // q
+            word = tuple(map(letters.__getitem__, map(id, cube)))
         cubes.append(cube)
-        words.append(tuple(word))
+        words.append(word)
     return cubes, words, list(pairs)
 
 
@@ -116,8 +119,8 @@ def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
 class TorusTiling:
     """A validated cube tiling: 2^d pairwise dichotomous offset vectors.
 
-    `codes` holds the cubes as kernel words and `letter_pairs` the pairs
-    (p mod q, q) their letters number, both computed once here.
+    `codes` (the cubes as kernel words) and `letter_pairs` (the pairs (p mod q,
+    q) their letters number) are computed here, `extremality` on first use.
     """
 
     d: int
@@ -138,6 +141,12 @@ class TorusTiling:
         object.__setattr__(self, "codes", tuple(words))
         object.__setattr__(self, "letter_pairs", tuple(pairs))
         kernel.require_dichotomous(words, (1,) * self.d)
+
+    @cached_property
+    def extremality(self) -> ExtremalityResult:
+        classes = _offset_classes(self.codes)
+        partners = sorted(p for c in classes for p in itertools.combinations(c, 2))
+        return ExtremalityResult(all(len(c) == 2 for c in classes), tuple(partners))
 
 
 def tiling_verify(cubes: Sequence[Sequence]) -> TorusTiling:
@@ -164,10 +173,8 @@ class ExtremalityResult(NamedTuple):
 
 
 def is_two_extremal(t: TorusTiling) -> ExtremalityResult:
-    """Check that every cube has exactly one partner at integral offsets."""
-    classes = _offset_classes(t.codes)
-    partners = sorted(p for c in classes for p in itertools.combinations(c, 2))
-    return ExtremalityResult(all(len(c) == 2 for c in classes), tuple(partners))
+    """Check, once per tiling, that each cube has exactly one integral partner."""
+    return t.extremality
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,14 @@ class ExtremalDecomposition:
 
     plus: tuple[Cube, ...]
     minus: tuple[Cube, ...]
+
+    @classmethod
+    def _split(cls, plus: tuple[Cube, ...], minus: tuple[Cube, ...]):
+        """decompose's halves, interned and split by construction: nothing to check."""
+        dec = object.__new__(cls)
+        object.__setattr__(dec, "plus", plus)
+        object.__setattr__(dec, "minus", minus)
+        return dec
 
     def __post_init__(self):
         plus, plus_words, _ = _intern(self.plus)
@@ -224,7 +239,7 @@ def decompose(
         minus.append(j)
     plus.sort(key=keys.__getitem__)
     minus.sort(key=keys.__getitem__)
-    return ExtremalDecomposition(
+    return ExtremalDecomposition._split(
         tuple(t.cubes[k] for k in plus), tuple(t.cubes[k] for k in minus)
     )
 

@@ -20,6 +20,7 @@ from polybox import (
 from polybox.errors import (
     InconsistentOrientation,
     NotDichotomous,
+    NotUnique,
     SpaceMismatch,
 )
 from polybox.generate import (
@@ -349,6 +350,14 @@ class TestReconstructMinus:
         fragment = genome(AB, 2, ("a", "b"))
         with pytest.raises(ValueError):
             reconstruct_minus(fragment, 4, universe=Alphabet((("a", "a'"),)))
+
+    def test_repaired_universe_breaks_the_members(self):
+        # a and a' complement each other in the fragment's alphabet but not in
+        # a universe pairing a with b, where the two members are not dichotomous
+        fragment = genome(AB, 1, ("a",), ("a'",))
+        universe = Alphabet((("a", "b"), ("a'", "b'")))
+        with pytest.raises(NotUnique, match="do not extend"):
+            reconstruct_minus(fragment, 2, universe=universe)
 
     def test_wider_universe_changes_nothing(self):
         # extra pairs never occur in the fragment, so they cannot serve

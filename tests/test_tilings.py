@@ -1,6 +1,14 @@
+"""Tilings against plain routes kept here as references.
+
+`reference_intern` is the row-by-row `_intern` that remembered only parsed
+strings and interned values; the current one also keeps each value's letter
+by the id() of its Fraction within a call, and resolves known rows at once.
+"""
+
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +29,7 @@ from polybox.errors import (
     WrongCount,
 )
 from polybox import words as kernel
-from polybox.tilings import ExtremalDecomposition, _intern, cubes_dichotomous
+from polybox.tilings import ExtremalDecomposition, _intern, _shown, cubes_dichotomous
 
 F = Fraction
 
@@ -31,6 +39,99 @@ def cube(*coords):
 
 
 EXAMPLE = [cube(0, 0), cube(1, 0), cube(F(1, 2), 1), cube(F(3, 2), 1)]
+
+
+def reference_intern(rows):
+    """_intern as it was before its per-call letter memo: each row is parsed
+    whole, then each value is range-checked and interned."""
+    parsed = {}
+    pairs = {}
+    seen = {}
+    cubes = []
+    words = []
+    for row in rows:
+        cube_ = tuple(
+            x if type(x) is F else parsed.setdefault(x, F(x)) if type(x) is str else F(x)
+            for x in row
+        )
+        word = []
+        for x in cube_:
+            p, q = x.numerator, x.denominator
+            letter = seen.get((p, q))
+            if letter is None:
+                if not 0 <= p < 2 * q:
+                    raise CoordOutOfRange(f"coordinate {_shown(x)} outside [0, 2)")
+                k = pairs.setdefault((p % q, q), len(pairs))
+                letter = seen[p, q] = 2 * k + 3 - p // q
+            word.append(letter)
+        cubes.append(cube_)
+        words.append(tuple(word))
+    return cubes, words, list(pairs)
+
+
+def intern_outcome(fn, rows):
+    try:
+        return fn(rows)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+GOOD = ["0", "1", "1/2", "3/2", "1/3", "4/3", "5/3", "0.25", "1.75", "2/4"]
+BAD = ["5", "-1/2", "2", "1/0", "x"]
+
+
+class TestIntern:
+    def test_matches_the_reference(self):
+        rng = random.Random(61)
+        failed = 0
+        for _ in range(1500):
+            d = rng.randint(1, 4)
+            good = rng.sample(GOOD, rng.randint(1, len(GOOD)))
+            shared = {x: F(x) for x in good}
+            kind = rng.randrange(4)
+            rows = []
+            for _ in range(rng.randint(1, 12)):
+                texts = [rng.choice(good) for _ in range(d)]
+                if kind == 0:
+                    row = texts
+                elif kind == 1:
+                    row = [shared[x] for x in texts]
+                elif kind == 2:
+                    row = [F(x) for x in texts]  # fresh objects
+                else:
+                    row = [rng.choice((x, shared[x], F(x))) for x in texts]
+                if rng.randrange(8) == 0:
+                    row[rng.randrange(d)] = rng.choice((0, 1, 3, F(5, 2)))
+                if rng.randrange(10) == 0:
+                    row[rng.randrange(d)] = rng.choice(BAD)
+                if rng.randrange(25) == 0:
+                    row = ["5", "x"]
+                rows.append(tuple(row) if rng.randrange(2) else row)
+            expected = intern_outcome(reference_intern, rows)
+            failed += type(expected[0]) is type
+            assert intern_outcome(_intern, rows) == expected, rows
+        assert 300 < failed < 1200
+
+    def test_fresh_fractions_from_a_generator(self):
+        # every row arrives as new Fraction objects, so no id is seen twice
+        base = [cube(*c) for c in generate_two_extremal(4, 3).cubes]
+        expected = reference_intern(base)
+        for rows in ((tuple(F(x) for x in c) for c in base),
+                     ([F(x) for x in c] for c in base)):
+            assert _intern(rows) == expected
+
+    def test_repeated_values_and_rows(self):
+        shared = F(1, 3)
+        rows = [(shared, shared), ("1/3", "4/3"), (shared, F(4, 3)), ["1/3", "1/3"]]
+        assert _intern(rows * 3) == reference_intern(rows * 3)
+        ints = [(0, 1), [1, 0], (0, 0), ["1", 1], (F(1), 0)]
+        assert _intern(ints * 2) == reference_intern(ints * 2)
+
+    def test_parse_error_comes_before_range_error(self):
+        for rows in ([["5", "x"]], [["1/2"], ["5", "x"]], [(F(1, 2),), ("5", "1/0")]):
+            assert intern_outcome(_intern, rows) == intern_outcome(reference_intern, rows)
+        with pytest.raises(ValueError, match="Invalid literal"):
+            _intern([["1/2", "1"], ["5", "x"]])
 
 
 class TestVerify:
@@ -105,6 +206,19 @@ class TestTwoExtremal:
     def test_one_dimensional(self):
         assert is_two_extremal(tiling_verify([cube(0), cube(1)])).two_extremal
 
+    def test_cached_once_per_tiling(self):
+        t = generate_two_extremal(3, 5)
+        assert is_two_extremal(t) is t.extremality
+
+    def test_cache_leaves_equality_hash_and_repr(self):
+        t = tiling_verify([[str(x) for x in c] for c in generate_two_extremal(3, 5).cubes])
+        before = repr(t), hash(t)
+        is_two_extremal(t)
+        fresh = tiling_verify(t.cubes)
+        assert "extremality" not in repr(t)
+        assert (repr(t), hash(t)) == before == (repr(fresh), hash(fresh))
+        assert t == fresh and fresh == t
+
 
 class TestDecompose:
     def test_lex_selector_on_example(self):
@@ -126,6 +240,18 @@ class TestDecompose:
         grid = [cube(a, b) for a in (0, 1) for b in (0, 1)]
         with pytest.raises(NotTwoExtremal):
             decompose(tiling_verify(grid))
+
+    def test_split_halves_pass_the_checks_they_skip(self):
+        # decompose builds its result unchecked; checking it changes nothing
+        for d in range(1, 8):
+            for seed in range(4):
+                cubes = generate_two_extremal(d, seed).cubes
+                t = tiling_verify([[str(x) for x in c] for c in cubes])
+                for select in ("lex", "seed"):
+                    dec = decompose(t, select=select, seed=seed)
+                    checked = ExtremalDecomposition(dec.plus, dec.minus)
+                    assert checked == dec and repr(checked) == repr(dec)
+                    assert type(dec.plus) is type(dec.minus) is tuple
 
     def test_halves_must_split_pairs(self):
         with pytest.raises(NotTwoExtremal):

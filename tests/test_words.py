@@ -17,7 +17,13 @@ import random
 import pytest
 from polybox import BoxSpace, index_representatives, polybox_equal_by_index
 from polybox import words as kernel
-from polybox.errors import BudgetExceeded, NotDichotomous, PolyboxError, run_with_budget
+from polybox.errors import (
+    BudgetExceeded,
+    NotDichotomous,
+    NotUnique,
+    PolyboxError,
+    run_with_budget,
+)
 from polybox.generate import (
     letter_names,
     mutate_genome,
@@ -177,6 +183,19 @@ class TestComplete:
             solved += isinstance(expected, list)
             assert outcome(members, flip) == expected
         assert 20 < solved < 130
+
+    def test_members_not_pairwise_dichotomous(self):
+        # the found words pass the count checks, so only the final dichotomy
+        # check sees the members' clash
+        for members, flip, clash in (
+            ([(2,), (4,)], (1,), (0, 1)),
+            ([(2, 2), (2, 3), (4, 2)], (1, 1), (0, 2)),
+        ):
+            with pytest.raises(NotUnique, match="do not extend") as info:
+                kernel.complete(members, flip)
+            cause = info.value.__cause__
+            assert isinstance(cause, NotDichotomous)
+            assert (cause.i, cause.j) == clash
 
     def test_half_of_a_product_genome(self):
         flip = (1, 1, 1)
