@@ -11,9 +11,13 @@ from __future__ import annotations
 
 import argparse
 import random
+import sys
+from pathlib import Path
 
 from polybox import box_number, union_points, verify_suit
-from polybox.generate import random_space, random_suit_for_space
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from generate import random_space, random_suit_for_space
 
 
 def main() -> int:

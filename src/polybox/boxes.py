@@ -82,9 +82,6 @@ class BoxSpace:
         """Every factor's full mask: the complement flip of box words."""
         return tuple((1 << n) - 1 for n in self.dims)
 
-    def complement(self, i: int, mask: int) -> int:
-        return self.full_mask(i) ^ mask
-
     def points(self) -> Iterator[tuple[int, ...]]:
         return itertools.product(*(range(n) for n in self.dims))
 
@@ -186,6 +183,6 @@ def simple_suit(c: Box) -> list[Box]:
         factors = list(c.factors)
         for j, i in enumerate(support):
             if bits >> j & 1:
-                factors[i] = c.space.complement(i, factors[i])
+                factors[i] ^= c.space.full_masks[i]
         out.append(Box(c.space, tuple(factors)))
     return out

@@ -23,11 +23,6 @@ from .suits import Suit
 BasisKey = tuple[int, ...]
 
 
-def in_basis(space: BoxSpace, i: int, mask: int) -> bool:
-    """Basis factors are the full set or proper subsets containing 0."""
-    return mask == space.full_mask(i) or bool(mask & 1)
-
-
 @dataclass
 class CanonicalForm:
     """Sparse integer combination of basis boxes, keyed by factor masks."""
@@ -39,20 +34,16 @@ class CanonicalForm:
         for key, value in self.coeffs.items():
             if value == 0:
                 raise ValueError("zero coefficients must not be stored")
+            # basis factors: the full set or proper subsets containing 0
             if len(key) != self.space.d or not all(
-                0 < m <= self.space.full_mask(i) and in_basis(self.space, i, m)
-                for i, m in enumerate(key)
+                m == full or 0 < m < full and m & 1
+                for m, full in zip(key, self.space.full_masks)
             ):
                 raise ValueError(f"{key} is not a basis box")
 
     def sorted_items(self) -> list[tuple[BasisKey, int]]:
         """Deterministic order: lexicographic by factor masks."""
         return sorted(self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CanonicalForm):
-            return NotImplemented
-        return self.space == other.space and self.coeffs == other.coeffs
 
 
 def project_box(a: Box) -> CanonicalForm:

@@ -74,17 +74,14 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
-def _read(path: str) -> str:
+def _load(path: str) -> dict:
     if path == "-":
-        return sys.stdin.read()
+        return ser.loads(sys.stdin.read())
     try:
-        return Path(path).read_text()
+        text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load(path: str) -> dict:
-    return ser.loads(_read(path))
+    return ser.loads(text)
 
 
 def _load_suit(path: str, require_proper: bool = False) -> Suit:
@@ -197,7 +194,7 @@ def _cmd_rigidity(args) -> tuple[int, dict]:
     if args.universe:
         universe = ser.parse_genome(_load(args.universe)).alphabet
     try:
-        minus = reconstruct_minus(fragment, 1 << fragment.d, universe)
+        minus = reconstruct_minus(fragment, universe)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return 0, ser.serialize_genome(minus)
@@ -219,18 +216,14 @@ def _cmd_tiling_extremal(args) -> tuple[int, dict]:
     )
 
 
-def _cubes_json(cubes) -> list[list[str]]:
-    return [[str(x) for x in c] for c in cubes]
-
-
 def _cmd_tiling_decompose(args) -> tuple[int, dict]:
     tiling = ser.parse_tiling(_load(args.input))
     dec = decompose(tiling, select=args.select, seed=args.seed)
     return 0, ser.report(
         args.command,
         select=args.select,
-        plus=_cubes_json(dec.plus),
-        minus=_cubes_json(dec.minus),
+        plus=ser.cube_rows(dec.plus),
+        minus=ser.cube_rows(dec.minus),
     )
 
 
@@ -240,7 +233,7 @@ def _cmd_tiling_reconstruct(args) -> tuple[int, dict]:
         minus = reconstruct(cubes)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return 0, ser.report(args.command, d=len(cubes[0]), minus=_cubes_json(minus))
+    return 0, ser.report(args.command, d=len(cubes[0]), minus=ser.cube_rows(minus))
 
 
 def _cmd_tiling_gen(args) -> tuple[int, dict]:
@@ -256,14 +249,14 @@ def _cmd_tiling_gen(args) -> tuple[int, dict]:
     return 0, ser.report(
         args.command,
         d=args.d, seed=args.seed, count=args.count,
-        tilings=[_cubes_json(t.cubes) for t in tilings],
+        tilings=[ser.cube_rows(t.cubes) for t in tilings],
     )
 
 
 def _cmd_tiling_chessboard(args) -> tuple[int, dict]:
     tiling = ser.parse_tiling(_load(args.input))
     dec = decompose(tiling, select=args.select, seed=args.seed)
-    z = tuple(ser._fraction(s.strip(), "z") for s in args.z.split(","))
+    z = tuple(ser.fraction(s.strip(), "z") for s in args.z.split(","))
     result = chessboard_check(tiling, dec, z)
     overlap = None if result.overlap is None else [str(x) for x in result.overlap]
     return 0 if result.in_minus else 1, ser.report(

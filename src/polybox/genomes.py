@@ -72,10 +72,6 @@ class Alphabet:
     def complement(self, letter: str) -> str:
         return self._letter[self._code[letter] ^ 1]
 
-    def positive(self, letter: str) -> str:
-        """The positive representative of the letter's pair."""
-        return self._letter[self._code[letter] | 1]
-
     def sort_key(self, letter: str) -> tuple[int, int]:
         code = self._code[letter]
         return (code >> 1) - 1, 1 - (code & 1)
@@ -160,11 +156,6 @@ class WordCanonicalForm:
 
     def sorted_items(self) -> list[tuple[Word, int]]:
         return sorted(self.coeffs.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WordCanonicalForm):
-            return NotImplemented
-        return self.d == other.d and self.coeffs == other.coeffs
 
 
 def _word_form(alphabet: Alphabet, d: int, codes) -> WordCanonicalForm:
@@ -353,9 +344,7 @@ def induced_decomposition(
 
 
 def reconstruct_minus(
-    w_plus: GenomeSet,
-    expected_size: int,
-    universe: Optional[Alphabet] = None,
+    w_plus: GenomeSet, universe: Optional[Alphabet] = None
 ) -> GenomeSet:
     """Recover the minus half of a full genome from its plus half.
 
@@ -367,8 +356,6 @@ def reconstruct_minus(
     assumption; it is exact for cube-tiling genomes.
     """
     d = w_plus.d
-    if expected_size != 1 << d:
-        raise ValueError("reconstruction is supported for genomes of size 2^d only")
     alphabet = universe if universe is not None else w_plus.alphabet
     members = [alphabet.encode(alphabet.check_word(word)) for word in w_plus.words]
     found = kernel.complete(members, _flip(d))

@@ -17,11 +17,9 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from . import words as kernel
-from .boxes import Box, BoxSpace, complement_action, same_space
+from .boxes import Box, BoxSpace, EpsilonVector, complement_action, same_space
 from .errors import EvenFactor, NotProper, SpaceMismatch, require_budget
 from .suits import Suit, verify_suit
-
-EpsilonVector = Sequence[int]
 
 
 def phi(c: Box, a: Box) -> int:
@@ -36,12 +34,17 @@ def phi(c: Box, a: Box) -> int:
     return kernel.index(c.factors, [a.factors], space.full_masks)
 
 
+def _require_odd(sizes, of: str = "") -> None:
+    """EvenFactor naming the first factor whose size is even."""
+    for i, n in enumerate(sizes):
+        if n % 2 == 0:
+            raise EvenFactor(f"factor {i}{of} has even cardinality")
+
+
 def eta(b: Box, a: Box) -> int:
     """Parity of |a meet b| for a box b with all factors of odd size."""
     same_space(b, a)
-    for i, bm in enumerate(b.factors):
-        if bm.bit_count() % 2 == 0:
-            raise EvenFactor(f"factor {i} of b has even cardinality")
+    _require_odd((bm.bit_count() for bm in b.factors), " of b")
     parity = 1
     for bm, am in zip(b.factors, a.factors):
         parity *= (bm & am).bit_count() & 1
@@ -138,18 +141,14 @@ class BinaryCode:
 
 def even_odd_code(space: BoxSpace) -> BinaryCode:
     """Codeword bit i is |A_i| mod 2; needs every factor of odd cardinality."""
-    for i, n in enumerate(space.dims):
-        if n % 2 == 0:
-            raise EvenFactor(f"factor {i} has even cardinality")
+    _require_odd(space.dims)
     return BinaryCode(space, tuple(lambda m: m.bit_count() & 1 for _ in space.dims))
 
 
 def more_less_code(space: BoxSpace) -> BinaryCode:
     """Codeword bit i is [|A_i| > n_i/2]; half-size subsets would break the
     complement-sum invariant, so even factors are rejected."""
-    for i, n in enumerate(space.dims):
-        if n % 2 == 0:
-            raise EvenFactor(f"factor {i} has even cardinality")
+    _require_odd(space.dims)
     return BinaryCode(
         space,
         tuple((lambda n: lambda m: int(2 * m.bit_count() > n))(n) for n in space.dims),

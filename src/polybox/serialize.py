@@ -202,7 +202,8 @@ def serialize_genome(g: GenomeSet) -> dict:
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
-def _fraction(raw: Any, where: str) -> Fraction:
+def fraction(raw: Any, where: str) -> Fraction:
+    """A rational given as a 'p/q' string, checked as in documents."""
     if not isinstance(raw, str) or not _RATIONAL.fullmatch(raw):
         raise InputError(f"{where}: rationals are 'p/q' strings")
     try:
@@ -224,7 +225,7 @@ def parse_cubes(obj: dict) -> list[Cube]:
     for k, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != d:
             raise InputError(f"cube {k} needs {d} coordinates")
-        cubes.append(tuple(_fraction(x, f"cube {k}") for x in row))
+        cubes.append(tuple(fraction(x, f"cube {k}") for x in row))
     return cubes
 
 
@@ -234,12 +235,24 @@ def parse_tiling(obj: dict) -> TorusTiling:
     return TorusTiling(d, tuple(cubes))
 
 
+def cube_rows(cubes: Sequence[Cube]) -> list[list[str]]:
+    """Each cube's coordinates as reduced fraction strings."""
+    try:
+        return [[str(x) for x in c] for c in cubes]
+    except ValueError:  # more digits than int-to-text conversion allows
+        big = max(max(abs(x.numerator), x.denominator) for c in cubes for x in c)
+        raise InputError(
+            f"cannot print a coordinate with a {big.bit_length()}-bit numerator "
+            "or denominator"
+        ) from None
+
+
 def serialize_cubes(d: int, cubes: Sequence[Cube]) -> dict:
     return {
         "kind": "tiling",
         "version": VERSION,
         "d": d,
-        "cubes": [[str(x) for x in c] for c in cubes],
+        "cubes": cube_rows(cubes),
     }
 
 

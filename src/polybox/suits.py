@@ -70,12 +70,6 @@ class Suit:
                 raise SpaceMismatch("suit members live in different spaces")
         kernel.require_dichotomous([b.factors for b in boxes], self.space.full_masks)
 
-    @classmethod
-    def of(cls, boxes: Sequence[Box]) -> "Suit":
-        if not boxes:
-            raise ValueError("a suit needs at least one box")
-        return cls(boxes[0].space, tuple(boxes))
-
     @property
     def is_proper(self) -> bool:
         return all(b.is_proper for b in self.boxes)
@@ -89,7 +83,10 @@ class Suit:
 
 def verify_suit(boxes: Sequence[Box], require_proper: bool = False) -> Suit:
     """Validate a box list as a suit; optionally insist on proper members."""
-    suit = Suit.of(list(boxes))
+    boxes = tuple(boxes)
+    if not boxes:
+        raise ValueError("a suit needs at least one box")
+    suit = Suit(boxes[0].space, boxes)
     if require_proper:
         for i, b in enumerate(suit.boxes):
             if not b.is_proper:
@@ -110,16 +107,16 @@ def union_points(s: Suit) -> PointSet:
 
 
 def _hat_of_box(b: Box) -> int:
-    """Product formula: per factor, count odd subsets meeting it oddly."""
-    total = 1
-    for i, n in enumerate(b.space.dims):
-        bm = b.factors[i]
-        count = 0
-        for a in range(1, 1 << n):
-            if (a.bit_count() & 1) and ((a & bm).bit_count() & 1):
-                count += 1
-        total *= count
-    return total
+    """Product formula: per factor, the odd subsets meeting it oddly.
+
+    Of an n-element factor's 2^(n-1) odd subsets, every one meets the full
+    factor oddly and 2^(n-2) meet any other; so a proper box has |A|_0 = 1.
+    """
+    space = b.space
+    return 1 << sum(
+        n - 1 - (m != full)
+        for n, m, full in zip(space.dims, b.factors, space.full_masks)
+    )
 
 
 def _hat_of_points(g: PointSet) -> int:

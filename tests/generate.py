@@ -15,10 +15,10 @@ import string
 from operator import xor
 from typing import Optional
 
-from . import words as kernel
-from .boxes import Box, BoxSpace
-from .genomes import Alphabet, GenomeSet, Word
-from .suits import Suit, verify_suit
+from polybox import words as kernel
+from polybox.boxes import Box, BoxSpace
+from polybox.genomes import Alphabet, GenomeSet, Word
+from polybox.suits import Suit, verify_suit
 
 
 def random_space(

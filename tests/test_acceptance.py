@@ -39,7 +39,7 @@ from polybox import (
     verify_suit,
 )
 from polybox.cli import main as cli_main
-from polybox.generate import (
+from generate import (
     distinct_suit_pair,
     mutate_genome,
     mutate_suit,

@@ -34,7 +34,7 @@ from polybox.errors import (
     require_budget,
     run_with_budget,
 )
-from polybox.generate import random_genome, random_suit_for_space, random_word
+from generate import random_genome, random_suit_for_space, random_word
 from polybox.genomes import (
     Alphabet,
     GenomeSet,

@@ -13,7 +13,7 @@ from polybox import (
     verify_suit,
 )
 from polybox.errors import SpaceMismatch
-from polybox.generate import (
+from generate import (
     distinct_suit_pair,
     mutate_suit,
     random_proper_suit,
@@ -63,7 +63,7 @@ class TestCanonicalForm:
         suit = verify_suit(simple_suit(bx([3, 3], {0}, {0})))
         assert canonical_form(suit).coeffs == {(0b111, 0b111): 1}
         for _ in range(10):
-            from polybox.generate import random_suit_for_space
+            from generate import random_suit_for_space
 
             suit = random_suit_for_space(S33, rng)
             assert canonical_form(suit).coeffs == {(0b111, 0b111): 1}
@@ -126,7 +126,7 @@ class TestSuitsEquivalent:
         assert suits_equivalent(suit, suit)
 
     def test_two_suits_for_space(self, rng):
-        from polybox.generate import random_suit_for_space
+        from generate import random_suit_for_space
 
         f = random_suit_for_space(S33, rng)
         g = random_suit_for_space(S33, rng)

@@ -236,6 +236,18 @@ class TestTilingCommands:
             code, doc = run_json(capsys, "tiling-reconstruct", str(path))
             assert code == 2 and doc["error"]["code"] == "WrongCount"
 
+    def test_reconstruct_rejects_unprintable_coordinates(self, capsys, tmp_path):
+        # 1/(10^4300 - 1) parses, but its minus partner 10^4300/(10^4300 - 1)
+        # has more digits than int-to-text conversion allows
+        path = tmp_path / "plus.json"
+        path.write_text(json.dumps({
+            "kind": "tiling", "version": "1", "d": 1, "cubes": [["1/" + "9" * 4300]],
+        }))
+        code, out = run(capsys, "tiling-reconstruct", str(path))
+        doc = json.loads(out)
+        assert code == 2 and doc["error"]["code"] == "InputError"
+        assert "14285-bit" in doc["error"]["detail"]
+
     def test_gen_rejects_nonpositive_d(self, capsys):
         for d in ("0", "-1"):
             code, doc = run_json(capsys, "tiling-gen", "--d", d)

@@ -26,7 +26,7 @@ from polybox import (
     verify_suit,
 )
 from polybox.errors import EvenFactor
-from polybox.generate import (
+from generate import (
     distinct_suit_pair,
     random_proper_box,
     random_proper_suit,
@@ -356,7 +356,7 @@ class TestWiezaStructure:
                                 all(
                                     d.factors[i] != c.factors[i]
                                     and d.factors[i]
-                                    != S333.complement(i, c.factors[i])
+                                    != S333.full_mask(i) ^ c.factors[i]
                                     for i in subset
                                 )
                                 for d in odd

@@ -23,7 +23,7 @@ from polybox import (
     word_index,
 )
 from polybox.errors import BudgetExceeded
-from polybox.generate import letter_names, random_proper_suit, random_suit_for_space
+from generate import letter_names, random_proper_suit, random_suit_for_space
 from polybox.oracle import (
     Realization,
     e_realization,
@@ -151,7 +151,7 @@ class TestSelectionSpace:
             e_realization(big, ("a",))
 
     def test_mask_and_point_routes_agree(self, rng):
-        from polybox.generate import random_alphabet, random_genome, random_word
+        from generate import random_alphabet, random_genome, random_word
 
         for _ in range(100):
             alphabet = random_alphabet(rng, max_pairs=3)
@@ -184,7 +184,7 @@ class TestRealizations:
     def test_word_routes_match_the_realized_suit(self, rng):
         # An exact realization keeps letter pairs apart, so every word-layer
         # answer must equal the box-layer answer on the realized boxes.
-        from polybox.generate import random_alphabet, random_genome, random_word
+        from generate import random_alphabet, random_genome, random_word
         from polybox.genomes import epsilon_between, words_dichotomous
         from polybox.words import twin_pairs
 

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from polybox import BoxSpace, PointSet, canonical_form
 from polybox.errors import InputError
-from polybox.generate import random_proper_suit, random_genome, random_alphabet
+from generate import random_proper_suit, random_genome, random_alphabet
 from polybox.serialize import (
     dumps,
     loads,

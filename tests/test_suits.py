@@ -27,7 +27,7 @@ from polybox.errors import (
     NotProper,
     UnionsOverlap,
 )
-from polybox.generate import random_proper_suit, random_suit_for_space
+from generate import random_proper_suit, random_suit_for_space
 
 from conftest import spaces
 from helpers import brute_hat
@@ -108,7 +108,7 @@ class TestHatCardinality:
     @given(st.data())
     @settings(max_examples=40)
     def test_box_route_matches_point_route(self, data):
-        space = data.draw(spaces(max_d=2, dims=(2, 3, 4)))
+        space = data.draw(spaces(max_d=3, dims=(2, 3, 4, 5)))
         factors = tuple(
             data.draw(st.integers(min_value=1, max_value=space.full_mask(i)))
             for i in range(space.d)
@@ -213,7 +213,7 @@ class TestStronglyDisjoint:
             f = verify_suit(boxes[:k])
             g = verify_suit(boxes[k:])
             assert strongly_disjoint(f, g)
-            from polybox.generate import mutate_suit
+            from generate import mutate_suit
 
             f2 = mutate_suit(f, rng)
             g2 = mutate_suit(g, rng)

@@ -24,7 +24,7 @@ from polybox.errors import (
     PolyboxError,
     run_with_budget,
 )
-from polybox.generate import (
+from generate import (
     letter_names,
     mutate_genome,
     mutate_suit,
