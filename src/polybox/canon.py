@@ -7,8 +7,8 @@ product writes the box as at most 2^d signed basis boxes, and two proper
 suits describe the same polybox exactly when their summed expansions agree
 coefficient by coefficient.  The comparison (words.same_expansion) never
 builds a whole form: boxes both suits hold cancel, one evaluation of each
-remainder mod a prime refutes most unequal pairs in |suit| * d time, and
-only a match is confirmed by expanding the remainders (|remainder| * 2^d).
+remainder mod a prime refutes most unequal pairs in |suit| * d time, a match
+is glued first, and only what gluing leaves unmatched is expanded (2^d each).
 """
 
 from __future__ import annotations

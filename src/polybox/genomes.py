@@ -246,8 +246,8 @@ def equivalent_by_index(v: GenomeSet, w: GenomeSet) -> bool:
 
     A genome's nonzero indices are its expansion with stars, compared by
     words.same_expansion: words both genomes hold cancel, one evaluation of
-    each remainder mod a prime refutes most unequal pairs, and only a match
-    is confirmed by summing the remainders' indices in O(|remainder| 2^d).
+    each remainder mod a prime refutes most unequal pairs, a match is glued
+    first, and only what gluing leaves unmatched has its indices summed.
     """
     _check_comparable(v, w)
     return kernel.same_expansion(v.codes, w.codes, _flip(v.d), stars=True)

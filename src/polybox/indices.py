@@ -83,8 +83,8 @@ def polybox_equal_by_index(f: Suit, g: Suit) -> bool:
     A suit's nonzero indices are its expansion with stars (words.expand),
     and words.same_expansion compares the two suits' without summing them
     whole: boxes both suits hold cancel, one evaluation of each remainder
-    mod a prime refutes most unequal pairs, and only a match is confirmed
-    by summing the remainders' indices in O(|remainder| 2^d).  A
+    mod a prime refutes most unequal pairs, a match is glued first, and only
+    what gluing leaves unmatched has its indices summed, in O(|rest| 2^d).  A
     representative absent from both sums has index 0 in both.  The budget
     in force (errors.run_with_budget sets one) bounds |F| 2^d and |G| 2^d.
     """

@@ -138,6 +138,36 @@ def expand(
 P = (1 << 61) - 1
 
 
+def _glue(words: Sequence[Word], flip: Word) -> dict[Word, int]:
+    """Counts of the words after gluing twins until no twin pair is left.
+
+    Twins agree but at one position i, where they hold x and x ^ flip[i].
+    Both modes expand them as the word holding the star flip[i] there, as
+    the star is positive: s + (* - s) = *, and with stars (* + s) + (* - s)
+    = * + *.  Glued words are probed again; r words cost O(r d^2).
+    """
+    count = Counter(words)
+    todo = list(count)
+    while todo:
+        u = todo.pop()
+        w = list(u)
+        for i, f in enumerate(flip):
+            if not count[u]:
+                break
+            w[i] = u[i] ^ f
+            t = tuple(w)
+            m = min(count[u], count.get(t, 0))
+            if m:
+                w[i] = f
+                g = tuple(w)
+                count[u] -= m
+                count[t] -= m
+                count[g] += m
+                todo.append(g)
+            w[i] = u[i]
+    return {u: k for u, k in count.items() if k}
+
+
 def same_expansion(
     v: Sequence[Word], w: Sequence[Word], flip: Word, stars: bool = False
 ) -> bool:
@@ -150,9 +180,9 @@ def same_expansion(
     being expanded, to the product of its letters' entries: r_i(x) for a
     positive letter (r_i(star) + r_i(x) with stars) and
     r_i(star) - r_i(x ^ star) for a negative one.  Different sums prove that
-    the expansions differ; equal sums are confirmed by expanding the
-    remainders, so the verdict is exact on every input.  Both sides' budget
-    checks run first, with expand's bits and message.
+    the expansions differ; a match is glued (_glue) and only glued words the
+    sides do not share are expanded, so the verdict is exact on every
+    input.  Both sides' budget checks run first, with expand's bits and message.
     """
     require_expansion(v, stars)
     require_expansion(w, stars)
@@ -174,6 +204,11 @@ def same_expansion(
 
     if residue(rv) != residue(rw):
         return False
+    gv, gw = _glue(rv, flip), _glue(rw, flip)
+    if gv == gw:
+        return True
+    rv = [u for u, k in gv.items() for _ in range(k - gw.get(u, 0))]
+    rw = [u for u, k in gw.items() for _ in range(k - gv.get(u, 0))]
     return expand(rv, flip, stars) == expand(rw, flip, stars)
 
 

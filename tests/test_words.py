@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 from polybox import BoxSpace, index_representatives, polybox_equal_by_index
@@ -33,7 +34,9 @@ from generate import (
     random_proper_suit,
     random_suit_for_space,
 )
-from polybox.genomes import Alphabet, equivalent_by_index
+from helpers import suit_union_set
+from polybox.genomes import Alphabet, equivalent_by_cover, equivalent_by_index
+from polybox.oracle import points_equal
 
 
 def pairwise_first_clash(words, flip):
@@ -352,11 +355,30 @@ def regrouped(rng, words, flip, letters):
     return out
 
 
+def corner(rng, flip, letters):
+    """Two twin-free sides with one expansion: three words of a 2 x 2 block
+    at positions i < j, grouped as (*, y) + (x, y') and as (x, *) + (x', y).
+    Gluing leaves both as they are, so only expanding tells them equal."""
+    i, j = sorted(rng.sample(range(len(flip)), 2))
+    u = [rng.choice(s) for s in letters]
+    x, y = u[i], u[j]
+
+    def put(a, b):
+        w = list(u)
+        w[i], w[j] = a, b
+        return tuple(w)
+
+    return (
+        [put(flip[i], y), put(x, y ^ flip[j])],
+        [put(x, flip[j]), put(x ^ flip[i], y)],
+    )
+
+
 class TestSameExpansion:
     def pairs(self, rng, n):
-        """(v, w, flip): equal pairs by regrouping or permuting, unequal
-        pairs, duplicate words and empty sides, on letters (flip = 1) and
-        masks, d <= 5."""
+        """(v, w, flip): equal pairs by regrouping, permuting or grouping a
+        corner two ways, unequal pairs, duplicate words and empty sides, on
+        letters (flip = 1) and masks, d <= 5."""
         for k in range(n):
             d = rng.randint(1, 5)
             if k % 2:
@@ -367,8 +389,8 @@ class TestSameExpansion:
                 words, flip = suit_words(rng, min(d, 4))
                 letters = [range(1, f) for f in flip]
             words = words[: rng.randint(0, len(words))]
-            kind = rng.randrange(6)
-            if kind == 0:
+            kind = rng.randrange(7)
+            if kind == 0 or kind == 6 and d < 2:
                 other = regrouped(rng, words, flip, letters)
             elif kind == 1:
                 other = rng.sample(words, len(words))
@@ -378,22 +400,93 @@ class TestSameExpansion:
                 other = [tuple(rng.choice(s) for s in letters) for _ in words]
             elif kind == 4:
                 other = []
-            else:
+            elif kind == 5:
                 other = regrouped(rng, words, flip, letters)
                 extra = [tuple(rng.choice(s) for s in letters)] * rng.randint(1, 3)
                 words = words + extra
                 other = other + extra[: rng.randint(0, len(extra))]
+            else:
+                one, two = corner(rng, flip, letters)
+                other = regrouped(rng, words, flip, letters) + two
+                words = words + one
             yield (words, other, flip) if rng.randrange(2) else (other, words, flip)
 
-    def test_matches_full_expansion(self):
+    def test_matches_full_expansion(self, monkeypatch):
+        calls = Counter()
+
+        def counted(fn):
+            def call(*args):
+                calls[fn.__name__] += 1
+                return fn(*args)
+            return call
+
+        for fn in (kernel._glue, kernel.expand):
+            monkeypatch.setattr(kernel, fn.__name__, counted(fn))
         rng = random.Random(61)
         verdicts = []
+        decided = Counter()  # matching residues, by the branch deciding them
         for v, w, flip in self.pairs(rng, 1500):
             for stars in (False, True):
+                calls.clear()
                 verdict = kernel.same_expansion(v, w, flip, stars)
+                if calls["_glue"]:
+                    decided["expanded" if calls["expand"] else "glued"] += 1
                 assert verdict == same_by_expanding(v, w, flip, stars), (v, w, flip)
             verdicts.append(verdict)
         assert 500 <= sum(verdicts) <= 1000
+        assert decided["glued"] >= 900 and decided["expanded"] >= 200
+
+    def test_glue_keeps_expansion_and_leaves_no_twin(self):
+        rng = random.Random(67)
+        shrunk = 0
+        for k in range(600):
+            d = rng.randint(1, 4)
+            if k % 2:
+                flip = (1,) * d
+                letters = [range(1, 2 * rng.randint(1, 2) + 2)] * d  # 1 is the star
+            else:
+                flip = tuple(rng.choice((3, 7, 15)) for _ in range(d))
+                letters = [range(1, f + 1) for f in flip]  # f is the star
+            pool = [tuple(rng.choice(s) for s in letters) for _ in range(3)]
+            for u in rng.sample(pool, 2):
+                i = rng.randrange(d)
+                pool.append(u[:i] + (u[i] ^ flip[i],) + u[i + 1:])
+            words = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
+            glued = list(Counter(kernel._glue(words, flip)).elements())
+            assert not kernel.twin_pairs(glued, flip), (words, glued)
+            for stars in (False, True):
+                assert same_by_expanding(glued, words, flip, stars), (words, glued)
+            shrunk += len(glued) < len(words)
+        assert shrunk >= 300
+
+    def test_cover_and_oracle_never_glue(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("glued")
+
+        monkeypatch.setattr(kernel, "_glue", refuse)
+        rng = random.Random(71)
+        verdicts = Counter()
+        for k in range(60):
+            alphabet = random_alphabet(rng, max_pairs=3)
+            d = rng.randint(1, 4)
+            v = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
+            if k % 2:
+                w = mutate_genome(v, rng)
+            else:
+                w = random_genome(alphabet, d, rng, size=len(v))
+            verdict = equivalent_by_cover(v, w)
+            assert verdict == dense_genomes_equal(v, w)
+            verdicts["cover", verdict] += 1
+            space = BoxSpace(tuple(rng.choice((2, 3)) for _ in range(min(d, 3))))
+            f = random_proper_suit(space, rng)
+            g = mutate_suit(f, rng) if k % 2 else random_proper_suit(space, rng)
+            verdict = points_equal(f, g)
+            assert verdict == (suit_union_set(f) == suit_union_set(g))
+            verdicts["oracle", verdict] += 1
+        assert min(verdicts.values()) >= 10 and len(verdicts) == 4
+        # the routes through same_expansion do glue a matching residue
+        with pytest.raises(AssertionError, match="glued"):
+            equivalent_by_index(v, v)
 
     def test_duplicates_cancel_as_a_multiset(self):
         v = [(6,), (7,), (3,), (5,)]
@@ -418,10 +511,22 @@ class TestSameExpansion:
         monkeypatch.setattr(kernel, "expand", refuse)
         for stars in (False, True):
             assert not kernel.same_expansion(v, w, flip, stars)
-        # equal residues are confirmed by expanding: (2, 3, 5) + (3, 3, 5)
-        # is the starred word (1, 3, 5)
-        with pytest.raises(AssertionError, match="expanded"):
-            kernel.same_expansion([(2, 3, 5), (3, 3, 5)], [(1, 3, 5)], flip)
+        # equal residues are glued first: the twins (2, 3, 5) and (3, 3, 5)
+        # glue into the starred word (1, 3, 5)
+        for stars in (False, True):
+            assert kernel.same_expansion(
+                [(2, 3, 5), (3, 3, 5)], [(1, 3, 5)], flip, stars
+            )
+        # twin-free sides with equal expansions still reach expand
+        v, w, flip = [(1, 3), (3, 2)], [(3, 1), (2, 3)], (1, 1)
+        assert not kernel.twin_pairs(v, flip) and not kernel.twin_pairs(w, flip)
+        for stars in (False, True):
+            with pytest.raises(AssertionError, match="expanded"):
+                kernel.same_expansion(v, w, flip, stars)
+        monkeypatch.undo()
+        for stars in (False, True):
+            assert same_by_expanding(v, w, flip, stars)
+            assert kernel.same_expansion(v, w, flip, stars)
 
     def test_budget_refuses_before_any_work(self):
         v = [(2,) * 8, (3,) * 8]  # 2^8 + 1 terms, or 2 * 2^8 with stars
