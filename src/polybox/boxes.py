@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as kernel
@@ -97,8 +98,9 @@ class Box:
         factors = tuple(self.factors)
         if len(factors) != self.space.d:
             raise ValueError("factor count does not match the space dimension")
+        full = self.space.full_masks
         for i, mask in enumerate(factors):
-            if mask <= 0 or mask > self.space.full_mask(i):
+            if mask <= 0 or mask > full[i]:
                 raise ValueError(f"factor {i} mask {mask:#x} empty or out of range")
         object.__setattr__(self, "factors", factors)
 
@@ -110,13 +112,12 @@ class Box:
 
     @property
     def is_proper(self) -> bool:
-        return all(m != self.space.full_mask(i) for i, m in enumerate(self.factors))
+        return all(map(ne, self.factors, self.space.full_masks))
 
     def support(self) -> tuple[int, ...]:
         """Coordinates where the box is a strict subset of the factor."""
-        return tuple(
-            i for i, m in enumerate(self.factors) if m != self.space.full_mask(i)
-        )
+        full = self.space.full_masks
+        return tuple(i for i, m in enumerate(self.factors) if m != full[i])
 
     def size(self) -> int:
         c = 1

@@ -70,6 +70,11 @@ def require_budget(bits: int, what: str) -> None:
         raise BudgetExceeded(f"{what} = {bits} <= budget {limit}")
 
 
+def budget_in_force() -> int:
+    """The log2 budget that require_budget enforces here and now."""
+    return _BUDGET.get()
+
+
 def run_with_budget(budget: int, fn: Callable, *args):
     """fn(*args) with `budget` in force; the caller's budget is untouched."""
     context = contextvars.copy_context()

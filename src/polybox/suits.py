@@ -13,6 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import ne
 from typing import Iterator, Optional, Sequence, Union
 
 from . import words as kernel
@@ -72,7 +73,8 @@ class Suit:
 
     @property
     def is_proper(self) -> bool:
-        return all(b.is_proper for b in self.boxes)
+        full = self.space.full_masks
+        return all(all(map(ne, b.factors, full)) for b in self.boxes)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -194,9 +196,10 @@ def find_proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
     """A partition of g into at most `size` proper boxes, or None.
 
     Branches on the lexicographically least uncovered point so results are
-    deterministic; the first factor with a non-full candidate mask splits
-    first.  With size = |g|_0 this decides polybox-ness, because no proper
-    partition can be smaller than |g|_0.
+    deterministic: the candidates are the proper boxes inside the uncovered
+    points that contain it, tried in mask-lexicographic order.  With
+    size = |g|_0 this decides polybox-ness, because no proper partition can
+    be smaller than |g|_0.
     """
     require_budget(g.space.size_sum, "partition search needs |X|_1")
     max_box = math.prod(n - 1 for n in g.space.dims)

@@ -18,7 +18,13 @@ from collections import Counter, defaultdict
 from operator import eq, getitem, xor
 from typing import Optional, Sequence
 
-from .errors import Incomplete, NotDichotomous, NotUnique, require_budget
+from .errors import (
+    Incomplete,
+    NotDichotomous,
+    NotUnique,
+    budget_in_force,
+    require_budget,
+)
 
 Word = tuple[int, ...]
 
@@ -97,10 +103,15 @@ def epsilon(
 def require_expansion(words: Sequence[Sequence[int]], stars: bool = False) -> None:
     """Refuse, before it starts, an expansion over the budget in force.
 
-    A word has 2^(its negative letters) terms, or 2^d with stars.
+    A word of length d has 2^(its negative letters) terms, or 2^d with
+    stars, so words of one length d have at most len(words) << d terms and
+    exactly that many with stars.  Without stars the terms are counted word
+    by word only when that bound is over the budget.
     """
-    positive = (1).__and__
-    size = sum(1 << len(w) - (0 if stars else sum(map(positive, w))) for w in words)
+    size = len(words) << len(words[0]) if words else 0
+    if not stars and (size - 1).bit_length() > budget_in_force():
+        positive = (1).__and__
+        size = sum(1 << len(w) - sum(map(positive, w)) for w in words)
     require_budget((size - 1).bit_length(), "expansion needs log2 terms")
 
 

@@ -165,3 +165,17 @@ class TestSimpleSuit:
             assert ea is not None and eb is not None and between is not None
             same_parity = sum(ea) % 2 == sum(eb) % 2
             assert same_parity == (sum(between) % 2 == 0)
+
+
+def per_factor_proper(b):
+    """Properness as `Box.is_proper` tested it factor by factor."""
+    return all(m != b.space.full_mask(i) for i, m in enumerate(b.factors))
+
+
+class TestProperness:
+    @given(boxes())
+    def test_matches_per_factor_formula(self, b):
+        assert b.is_proper == per_factor_proper(b)
+        assert b.support() == tuple(
+            i for i, m in enumerate(b.factors) if m != b.space.full_mask(i)
+        )

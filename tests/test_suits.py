@@ -29,7 +29,7 @@ from polybox.errors import (
 )
 from generate import random_proper_suit, random_suit_for_space
 
-from conftest import spaces
+from conftest import boxes, spaces
 from helpers import brute_hat
 
 
@@ -63,6 +63,28 @@ class TestVerifySuit:
     def test_rejects_empty_list(self):
         with pytest.raises(ValueError):
             verify_suit([])
+
+    @given(st.data())
+    def test_is_proper_matches_per_factor_formula(self, data):
+        # a simple suit keeps c's full factors; splitting its first member
+        # at a full factor mixes proper and improper members
+        c = data.draw(boxes())
+        space = c.space
+        members = simple_suit(c)
+        full = [i for i in range(space.d) if c.factors[i] == space.full_mask(i)]
+        if full and data.draw(st.booleans()):
+            i = data.draw(st.sampled_from(full))
+            t = data.draw(st.integers(1, space.full_mask(i) - 1))
+            first = list(members[0].factors)
+            halves = []
+            for m in (t, space.full_mask(i) ^ t):
+                first[i] = m
+                halves.append(Box(space, tuple(first)))
+            members[:1] = halves
+        suit = verify_suit(members)
+        assert suit.is_proper == all(
+            m != space.full_mask(i) for b in members for i, m in enumerate(b.factors)
+        )
 
 
 class TestUnionPoints:

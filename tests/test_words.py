@@ -5,8 +5,10 @@ bitset version of `require_dichotomous` replaced, `brute_complete`
 enumerates every candidate word at once where `complete` branches on the
 members not yet hit, `dense_index_sums` scans `index` over every starred
 positive word where `expand` with stars visits only the nonzero ones, and
-comparing two whole expansions is the reference for `same_expansion`.  All
-run on box masks (flip = full masks) and on interned letters (flip = 1).
+comparing two whole expansions is the reference for `same_expansion`.
+`exact_expansion_check` sums every word's terms where `require_expansion`
+counts them only when their bound is over the budget.  All run on box masks
+(flip = full masks) and on interned letters (flip = 1).
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from polybox.errors import (
     NotDichotomous,
     NotUnique,
     PolyboxError,
+    require_budget,
     run_with_budget,
 )
 from generate import (
@@ -540,3 +543,61 @@ class TestSameExpansion:
                 run_with_budget(7, kernel.same_expansion, first, second, flip, stars)
             assert str(got.value) == str(expected.value)
         assert str(got.value) == "expansion needs log2 terms = 8 <= budget 7"
+
+
+def exact_expansion_bits(words, stars):
+    """log2 of the terms, summed word by word as require_expansion once did."""
+    positive = (1).__and__
+    size = sum(1 << len(w) - (0 if stars else sum(map(positive, w))) for w in words)
+    return (size - 1).bit_length()
+
+
+def exact_expansion_check(words, stars):
+    require_budget(exact_expansion_bits(words, stars), "expansion needs log2 terms")
+
+
+def budget_outcome(fn, budget, words, stars):
+    try:
+        run_with_budget(budget, fn, words, stars)
+    except BudgetExceeded as exc:
+        return str(exc)
+    return None
+
+
+class TestRequireExpansion:
+    def test_matches_exact_count(self):
+        rng = random.Random(7316)
+        cases = [[], [()]]
+        for _ in range(400):
+            d = rng.randrange(1, 9)
+            n = rng.choice((1, 1, 2, 3, 8, 40))
+            # even letters are negative and odd ones positive, in box masks
+            # and in interned letters alike
+            top = rng.choice((3, 15, (1 << 20) - 1))
+            cases.append([tuple(rng.randint(1, top) for _ in range(d)) for _ in range(n)])
+        refused = passed = 0
+        for words in cases:
+            for stars in (False, True):
+                for budget in range(exact_expansion_bits(words, stars) + 2):
+                    got = budget_outcome(kernel.require_expansion, budget, words, stars)
+                    want = budget_outcome(exact_expansion_check, budget, words, stars)
+                    assert got == want, (words, stars, budget)
+                    refused += got is not None
+                    passed += got is None
+        assert refused and passed
+
+    def test_bound_over_budget_but_exact_count_within(self):
+        # 3 positive words of length 8: 3 terms (2 bits), bounded by 3 << 8
+        words = [(3,) * 8, (5,) * 8, (7,) * 8]
+        for budget in (2, 3, 9):
+            run_with_budget(budget, kernel.require_expansion, words)
+        with pytest.raises(BudgetExceeded) as got:
+            run_with_budget(9, kernel.require_expansion, words, True)
+        assert str(got.value) == "expansion needs log2 terms = 10 <= budget 9"
+
+    def test_empty_list_states_one_bit(self):
+        for stars in (False, True):
+            run_with_budget(1, kernel.require_expansion, [], stars)
+            with pytest.raises(BudgetExceeded) as got:
+                run_with_budget(0, kernel.require_expansion, [], stars)
+            assert str(got.value) == "expansion needs log2 terms = 1 <= budget 0"
