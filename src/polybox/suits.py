@@ -13,7 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import ne
+from functools import reduce
+from operator import and_, getitem, ne
 from typing import Iterator, Optional, Sequence, Union
 
 from . import words as kernel
@@ -121,17 +122,11 @@ def _hat_of_box(b: Box) -> int:
     )
 
 
-def _hat_of_points(g: PointSet) -> int:
-    """Raw parity counting over all tuples of odd-size factor subsets.
-
-    Each point of g gets one bit; a factor subset becomes the bit mask of
-    points it keeps, and a tuple contributes when the AND of its masks has
-    odd popcount.  Subtrees with an empty partial AND are skipped whole.
-    """
+def _point_tables(g: PointSet) -> tuple[list[Point], list[list[int]]]:
+    """g's points, sorted, and per factor i the table of slab bitsets: entry
+    m has bit k set when the k-th point's i-th coordinate lies in mask m."""
     pts = sorted(g.members)
-    if not pts:
-        return 0
-    per_factor: list[list[int]] = []
+    tables: list[list[int]] = []
     for i, n in enumerate(g.space.dims):
         elem = [0] * n
         for k, x in enumerate(pts):
@@ -140,9 +135,23 @@ def _hat_of_points(g: PointSet) -> int:
         for mask in range(1, 1 << n):
             low = mask & -mask
             table[mask] = table[mask ^ low] | elem[low.bit_length() - 1]
-        per_factor.append(
-            [table[mask] for mask in range(1, 1 << n) if mask.bit_count() & 1]
-        )
+        tables.append(table)
+    return pts, tables
+
+
+def _hat_of_points(g: PointSet) -> int:
+    """Raw parity counting over all tuples of odd-size factor subsets.
+
+    A tuple contributes when the AND of its slab bitsets has odd popcount.
+    Subtrees with an empty partial AND are skipped whole.
+    """
+    pts, tables = _point_tables(g)
+    if not pts:
+        return 0
+    per_factor = [
+        [table[mask] for mask in range(1, len(table)) if mask.bit_count() & 1]
+        for table in tables
+    ]
 
     d = g.space.d
     count = 0
@@ -175,52 +184,44 @@ def box_number(g: Union[PointSet, Box]) -> Fraction:
     return Fraction(hat_cardinality(g), 1 << (space.size_sum - 2 * space.d))
 
 
-def _proper_boxes_at(
-    space: BoxSpace, remaining: frozenset[Point], anchor: Point
-) -> Iterator[Box]:
-    """Proper boxes inside `remaining` containing `anchor`, mask-lexicographic."""
-    per_factor: list[list[int]] = []
-    for i, n in enumerate(space.dims):
-        full = space.full_mask(i)
-        bit = 1 << anchor[i]
-        per_factor.append(
-            [m for m in range(1, full) if m & bit]
-        )
-    for masks in itertools.product(*per_factor):
-        box = Box(space, masks)
-        if all(p in remaining for p in box.points()):
-            yield box
+def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
+    """A partition of g into at most `size` proper boxes, or None; exact
+    only at size = |g|_0, the one size `proper_suit_for` asks for.
 
-
-def find_proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
-    """A partition of g into at most `size` proper boxes, or None.
-
-    Branches on the lexicographically least uncovered point so results are
-    deterministic: the candidates are the proper boxes inside the uncovered
-    points that contain it, tried in mask-lexicographic order.  With
-    size = |g|_0 this decides polybox-ness, because no proper partition can
-    be smaller than |g|_0.
+    Every partition of g into proper boxes has at least |g|_0 members, and
+    exactly |g|_0 iff it is a suit (fingerprint parities add, and proper
+    boxes have disjoint fingerprints iff dichotomous).  So a candidate not
+    dichotomous to a box already chosen is cut: the suit prune.  Point sets
+    are bitsets over g's sorted points; the anchor is the least uncovered
+    point, and its proper boxes are tried in mask-lexicographic order.
     """
-    require_budget(g.space.size_sum, "partition search needs |X|_1")
-    max_box = math.prod(n - 1 for n in g.space.dims)
+    space = g.space
+    require_budget(space.size_sum, "partition search needs |X|_1")
+    pts, tables = _point_tables(g)
+    full = space.full_masks
+    max_box = math.prod(n - 1 for n in space.dims)
+    out: list[tuple[int, ...]] = []
 
-    out: list[Box] = []
-
-    def rec(remaining: frozenset[Point], left: int) -> bool:
-        if not remaining:
-            return left >= 0
-        if left <= 0 or len(remaining) > left * max_box:
+    def rec(rem: int, left: int) -> bool:
+        if not rem:
+            return True
+        if rem.bit_count() > left * max_box:
             return False
-        anchor = min(remaining)
-        for box in _proper_boxes_at(g.space, remaining, anchor):
-            out.append(box)
-            if rec(remaining.difference(box.points()), left - 1):
-                return True
-            out.pop()
+        anchor = pts[(rem & -rem).bit_length() - 1]
+        opts = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
+        for masks in itertools.product(*opts):
+            if not all(kernel.dichotomous(masks, b, full) for b in out):
+                continue
+            box = reduce(and_, map(getitem, tables, masks), rem)
+            if box.bit_count() == math.prod(map(int.bit_count, masks)):
+                out.append(masks)
+                if rec(rem ^ box, left - 1):
+                    return True
+                out.pop()
         return False
 
-    if rec(g.members, size):
-        return out
+    if rec((1 << len(pts)) - 1, size):
+        return [Box(space, masks) for masks in out]
     return None
 
 
@@ -230,20 +231,17 @@ def is_polybox(g: PointSet) -> bool:
 
 
 def proper_suit_for(g: PointSet) -> Optional[Suit]:
-    """Some proper suit with union g, or None when g is not a polybox.
-
-    A proper partition of minimal size |g|_0 is necessarily a suit, so the
-    suit validation here can only fail on an internal bug.
+    """Some proper suit with union g, or None when g is not a polybox: the
+    first partition of size |g|_0 that `_proper_partition` finds.  Such a
+    partition is a suit, so its validation fails only on an internal bug.
     """
     if not g.members:
         return None
     b0 = box_number(g)
     if b0.denominator != 1 or b0 <= 0:
         return None
-    parts = find_proper_partition(g, int(b0))
-    if parts is None:
-        return None
-    return verify_suit(parts, require_proper=True)
+    parts = _proper_partition(g, int(b0))
+    return None if parts is None else verify_suit(parts, require_proper=True)
 
 
 def is_minimal_partition(parts: Sequence[Box], g: PointSet) -> bool:

@@ -16,7 +16,7 @@ from operator import xor
 from typing import Optional
 
 from polybox import words as kernel
-from polybox.boxes import Box, BoxSpace
+from polybox.boxes import Box, BoxSpace, is_dichotomous
 from polybox.genomes import Alphabet, GenomeSet, Word
 from polybox.suits import Suit, verify_suit
 
@@ -68,6 +68,27 @@ def random_proper_suit(
     cap = len(leaves) if max_size is None else min(max_size, len(leaves))
     k = rng.randint(1, cap)
     return verify_suit(rng.sample(leaves, k), require_proper=True)
+
+
+def all_suit_unions(space: BoxSpace, max_size: int) -> list[frozenset]:
+    """Every distinct union of a proper suit of at most max_size boxes, in
+    the order a depth-first walk over mask-lexicographic boxes finds them."""
+    boxes = [
+        Box(space, masks)
+        for masks in itertools.product(*(range(1, full) for full in space.full_masks))
+    ]
+    unions: dict[frozenset, None] = {}
+
+    def grow(current: list[int], start: int):
+        for j in range(start, len(boxes)):
+            if all(is_dichotomous(boxes[k], boxes[j]) for k in current):
+                nxt = current + [j]
+                unions.setdefault(frozenset(p for k in nxt for p in boxes[k].points()))
+                if len(nxt) < max_size:
+                    grow(nxt, j + 1)
+
+    grow([], 0)
+    return list(unions)
 
 
 def _resplit(

@@ -26,7 +26,6 @@ from polybox import (
     genomes_equivalent,
     hat_cardinality,
     index_representatives,
-    is_dichotomous,
     is_twin_pair,
     more_less_code,
     chessboard_check,
@@ -40,6 +39,7 @@ from polybox import (
 )
 from polybox.cli import main as cli_main
 from generate import (
+    all_suit_unions,
     distinct_suit_pair,
     mutate_genome,
     mutate_suit,
@@ -89,22 +89,7 @@ def test_criterion_01_equivalence_oracle_agreement():
 
 def test_criterion_02_minimality_exhaustive():
     space = BoxSpace((3, 3))
-    boxes = [Box(space, (a, b)) for a in range(1, 7) for b in range(1, 7)]
-    suits: list[list[int]] = []
-
-    def grow(current: list[int], start: int):
-        for j in range(start, len(boxes)):
-            if all(is_dichotomous(boxes[k], boxes[j]) for k in current):
-                nxt = current + [j]
-                suits.append(nxt)
-                if len(nxt) < 4:
-                    grow(nxt, j + 1)
-
-    grow([], 0)
-    unions: dict[frozenset, list[int]] = {}
-    for s in suits:
-        pts = frozenset(p for k in s for p in boxes[k].points())
-        unions.setdefault(pts, s)
+    unions = all_suit_unions(space, 4)
     assert len(unions) > 200
     for pts in unions:
         g = PointSet(space, pts)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,8 @@ from polybox.errors import (
     NotProper,
     UnionsOverlap,
 )
-from generate import random_proper_suit, random_suit_for_space
+from polybox.oracle import enumerate_min_partitions, exhaustive_min_partition
+from generate import all_suit_unions, random_proper_suit, random_suit_for_space
 
 from conftest import boxes, spaces
 from helpers import brute_hat
@@ -138,6 +140,14 @@ class TestHatCardinality:
         box = Box(space, factors)
         as_points = PointSet(space, frozenset(box.points()))
         assert hat_cardinality(box) == hat_cardinality(as_points)
+
+    def test_seeded_fuzz_matches_literal_definition(self):
+        rng = random.Random(4417)
+        for _ in range(500):
+            space = BoxSpace(tuple(rng.randint(2, 5) for _ in range(rng.randint(1, 3))))
+            density = rng.random()
+            members = frozenset(p for p in space.points() if rng.random() < density)
+            assert hat_cardinality(PointSet(space, members)) == brute_hat(space, members)
 
 
 class TestBoxNumber:
@@ -262,3 +272,87 @@ class TestProperSuitFor:
 
     def test_none_for_non_polybox(self):
         assert proper_suit_for(PointSet(S33, frozenset({(0, 0), (1, 1)}))) is None
+
+
+def masks(parts):
+    return [b.factors for b in parts]
+
+
+class TestSearchMatchesOracle:
+    """proper_suit_for returns the oracle's first minimal partition: both
+    branch on the least uncovered point, try its proper boxes in
+    mask-lexicographic order and cut at the same size."""
+
+    def test_every_suit_union_in_3x3(self):
+        unions = all_suit_unions(S33, 4)
+        assert len(unions) > 200
+        for pts in unions:
+            g = PointSet(S33, pts)
+            assert masks(proper_suit_for(g)) == masks(enumerate_min_partitions(g)[0])
+
+    @pytest.mark.parametrize("dims", [(4, 3), (2, 3, 4), (3, 3, 3)])
+    def test_seeded_sub_suit_unions(self, dims, rng):
+        space = BoxSpace(dims)
+        for k in (1, 2, 3, 4):
+            for _ in range(3):
+                suit = verify_suit(rng.sample(random_suit_for_space(space, rng).boxes, k))
+                g = union_points(suit)
+                assert masks(proper_suit_for(g)) == masks(enumerate_min_partitions(g)[0])
+
+    @pytest.mark.parametrize("dims", [(3, 3), (4, 3), (2, 3, 4), (3, 3, 3)])
+    def test_seeded_integral_non_polyboxes(self, dims, rng):
+        # |G|_0 is a positive integer, so the search runs to the end
+        space = BoxSpace(dims)
+        points = sorted(space.points())
+        most = min(10, len(points))
+        refuted = 0
+        while refuted < 10:
+            g = PointSet(space, frozenset(rng.sample(points, rng.randint(2, most))))
+            b0 = box_number(g)
+            if b0.denominator != 1 or b0 <= 0:
+                continue
+            minimal = exhaustive_min_partition(g) == b0
+            assert is_polybox(g) == minimal
+            refuted += not minimal
+
+
+def _all_but_a_two_point_box(rng):
+    space = BoxSpace((3, 3, 3))
+    while True:
+        boxes = random_suit_for_space(space, rng).boxes
+        pairs = [b for b in boxes if b.size() == 2]
+        if pairs:
+            return union_points(verify_suit([b for b in boxes if b != pairs[0]]))
+
+
+def _sub_suit_union(dims, k, rng):
+    boxes = random_suit_for_space(BoxSpace(dims), rng).boxes
+    return union_points(verify_suit(rng.sample(boxes, k)))
+
+
+class TestReferenceInstances:
+    """Polyboxes that took two seconds or more each in the Box-building
+    search.  The 6-box one still takes seconds: the suit prune alone leaves
+    random 6-box unions in 4^4 a long tail of backtracking."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rng: PointSet.full(BoxSpace((3, 3, 3))),
+            _all_but_a_two_point_box,
+            lambda rng: _sub_suit_union((4, 4, 4), 4, rng),
+            lambda rng: PointSet.full(BoxSpace((4, 4, 4, 4))),
+            lambda rng: _sub_suit_union((4, 4, 4, 4), 6, rng),
+        ],
+        ids=[
+            "whole-3x3x3", "25-points-3x3x3", "4-boxes-4x4x4",
+            "whole-4^4", "6-boxes-4^4",
+        ],
+    )
+    def test_recognized_with_a_minimal_suit(self, build, rng):
+        g = build(rng)
+        suit = proper_suit_for(g)
+        assert suit is not None
+        verify_suit(suit.boxes, require_proper=True)
+        assert union_points(suit).members == g.members
+        assert len(suit) == box_number(g)
