@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import getitem, ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import words as kernel
@@ -111,7 +112,7 @@ def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
     Classes come in the order of their smallest index."""
     classes = defaultdict(list)
     for k, word in enumerate(words):
-        classes[tuple(x >> 1 for x in word)].append(k)
+        classes[tuple(map((1).__rrshift__, word))].append(k)
     return list(classes.values())
 
 
@@ -119,8 +120,8 @@ def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
 class TorusTiling:
     """A validated cube tiling: 2^d pairwise dichotomous offset vectors.
 
-    `codes` (the cubes as kernel words) and `letter_pairs` (the pairs (p mod q,
-    q) their letters number) are computed here, `extremality` on first use.
+    `codes` (the cubes as kernel words) and `letter_pairs` (their letters'
+    pairs (p mod q, q)) are set here, `extremality` and `rank_keys` on first use.
     """
 
     d: int
@@ -131,6 +132,8 @@ class TorusTiling:
     )
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError("a tiling needs dimension d >= 1")
         cubes, words, pairs = _intern(self.cubes)
         object.__setattr__(self, "cubes", tuple(cubes))
         if len(cubes) != 1 << self.d:
@@ -147,6 +150,12 @@ class TorusTiling:
         classes = _offset_classes(self.codes)
         partners = sorted(p for c in classes for p in itertools.combinations(c, 2))
         return ExtremalityResult(all(len(c) == 2 for c in classes), tuple(partners))
+
+    @cached_property
+    def rank_keys(self) -> tuple[Word, ...]:
+        """Each code as its letters' ranks by value: keys compare as cubes do."""
+        rank = _ranks(_values(self.letter_pairs))
+        return tuple(tuple(map(rank.__getitem__, w)) for w in self.codes)
 
 
 def tiling_verify(cubes: Sequence[Sequence]) -> TorusTiling:
@@ -222,14 +231,13 @@ def decompose(
         raise ValueError(f"unknown selector {select!r}")
     rng = random.Random(seed)
     words = t.codes
-    rank = _ranks(_values(t.letter_pairs))
-    keys = [tuple(rank[x] for x in w) for w in words]
+    keys = t.rank_keys
     plus: list[int] = []
     minus: list[int] = []
     for i, j in ext.partners:
         if keys[j] < keys[i]:
             i, j = j, i
-        if sum(kernel.epsilon(words[i], words[j], (1,) * t.d)) % 2 == 0:
+        if sum(map(ne, words[i], words[j])) % 2 == 0:
             raise TheoremViolation(
                 f"partners {t.cubes[i]}, {t.cubes[j]} differ at an even pattern"
             )
@@ -262,8 +270,8 @@ def reconstruct(plus: Sequence[Sequence]) -> tuple[Cube, ...]:
     minus = kernel.complete(words, (1,) * d)
     values = _values(pairs)
     rank = _ranks(values)
-    minus.sort(key=lambda w: tuple(rank[x] for x in w))
-    return tuple(tuple(values[x] for x in w) for w in minus)
+    minus.sort(key=lambda w: tuple(map(rank.__getitem__, w)))
+    return tuple(tuple(map(values.__getitem__, w)) for w in minus)
 
 
 class ChessboardResult(NamedTuple):
@@ -343,8 +351,8 @@ def generate_two_extremal(d: int, seed: int) -> TorusTiling:
 
     words = build(d)
     ranks = [_ranks(col) for col in columns]
-    words.sort(key=lambda w: tuple(rank[x] for rank, x in zip(ranks, w)))
-    cubes = (tuple(col[x] for col, x in zip(columns, w)) for w in words)
+    words.sort(key=lambda w: tuple(map(getitem, ranks, w)))
+    cubes = (tuple(map(getitem, columns, w)) for w in words)
     tiling = TorusTiling(d, tuple(cubes))
     if not is_two_extremal(tiling).two_extremal:
         raise TheoremViolation("generated tiling is not 2-extremal")

@@ -16,7 +16,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from operator import eq, getitem, xor
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .errors import (
     Incomplete,
@@ -34,29 +34,39 @@ def dichotomous(v: Sequence[int], w: Sequence[int], flip: Word) -> bool:
     return any(map(eq, map(xor, v, flip), w))
 
 
-def require_dichotomous(words: Sequence[Sequence[int]], flip: Word) -> None:
-    """Raise NotDichotomous(i, j) for the first pair i < j that is not.
+def _hits(words: Sequence[Sequence[int]], flip: Word) -> list[dict[int, int]]:
+    """hit[i][x]: the bitset of the words whose letter at position i is
+    complementary to x, for every letter there and its complement."""
+    hit = []
+    for i, f in enumerate(flip):
+        h: dict[int, int] = {}
+        for k, w in enumerate(words):
+            y = w[i] ^ f
+            h[y] = h.get(y, 0) | 1 << k
+        for y in list(h):
+            h.setdefault(y ^ f, 0)
+        hit.append(h)
+    return hit
 
-    Each position keeps, per letter, the bitset of the words holding it;
-    the OR over positions of the bitsets of a word's complement letters is
-    the set of words dichotomous to it, so n words cost O(n d) int ops.
-    """
-    cols = []
-    for letters in zip(*words):
-        col: dict[int, int] = {}
-        bit = 1
-        for x in letters:
-            col[x] = col.get(x, 0) | bit
-            bit <<= 1
-        cols.append(col)
+
+def _first_clash(words: Sequence[Sequence[int]], hit: list, shift: int = 0) -> None:
+    """require_dichotomous given the words' _hits, with i and j shifted by shift."""
     everyone = (1 << len(words)) - 1
     for i, v in enumerate(words):
         cover = 0
-        for x, f, col in zip(v, flip, cols):
-            cover |= col.get(x ^ f, 0)
+        for x, h in zip(v, hit):
+            cover |= h[x]
         gap = (everyone >> i + 1) & ~(cover >> i + 1)
         if gap:
-            raise NotDichotomous(i, i + (gap & -gap).bit_length())
+            raise NotDichotomous(shift + i, shift + i + (gap & -gap).bit_length())
+
+
+def require_dichotomous(words: Sequence[Sequence[int]], flip: Word) -> None:
+    """Raise NotDichotomous(i, j) for the first pair i < j that is not.
+
+    A word's _hits bitsets OR to the words dichotomous to it: O(n d) int ops.
+    """
+    _first_clash(words, _hits(words, flip))
 
 
 def twin_at(v: Sequence[int], w: Sequence[int], flip: Word) -> Optional[int]:
@@ -254,20 +264,16 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     the complement of its letter, and each earlier branch's letter is banned
     at its position in the later ones, so every word is found once.  Raises
     Incomplete or NotUnique unless the words found are exactly the missing
-    ones and pairwise dichotomous with the members.
+    ones and pairwise dichotomous with the members; as each word found hits
+    every member, that checks the members through the hit tables and the
+    words found among themselves.
     """
     d = len(flip)
     m = len(members)
     if m > 1 << d:
         raise ValueError("fragment larger than the expected genome")
 
-    # hit[i][x]: the members letter x is complementary to at position i
-    hit: list[dict[int, int]] = []
-    for i, f in enumerate(flip):
-        having: dict[int, int] = defaultdict(int)
-        for k, w in enumerate(members):
-            having[w[i]] |= 1 << k
-        hit.append(dict.fromkeys(having, 0) | {x ^ f: b for x, b in having.items()})
+    hit = _hits(members, flip)
     prefixes = math.prod(len(h) for h in hit[:-1])
     bits = max(2 * d, (prefixes - 1).bit_length())
     require_budget(bits, "completion needs log2 max(4^d, prefixes)")
@@ -275,19 +281,20 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     found: list[Word] = []
     complements = [tuple(map(xor, w, flip)) for w in members]
 
-    def rec(unhit: int, allowed: list[tuple[int, ...]]) -> None:
+    def rec(unhit: int, allowed: list[Collection[int]]) -> None:
         if not unhit:
             found.extend(itertools.product(*allowed))
             return
         allowed = list(allowed)
         for j, y in enumerate(complements[(unhit & -unhit).bit_length() - 1]):
             rest = allowed[j]
+            # y hits every member it can at j, so no deeper branch bans from (y,)
             if y in rest:
                 allowed[j] = (y,)
                 rec(unhit & ~hit[j][y], allowed)
-                allowed[j] = tuple(z for z in rest if z != y)
+                allowed[j] = rest - {y}
 
-    rec((1 << m) - 1, [tuple(h) for h in hit])
+    rec((1 << m) - 1, list(map(frozenset, hit)))
     found.sort()
 
     missing = (1 << d) - m
@@ -296,7 +303,8 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     if len(found) > missing:
         raise NotUnique(f"found {len(found)} candidates for {missing} slots")
     try:
-        require_dichotomous(list(members) + found, flip)
+        _first_clash(members, hit)
+        _first_clash(found, _hits(found, flip), m)
     except NotDichotomous as exc:
         raise NotUnique("candidates do not extend the fragment to one genome") from exc
     return found

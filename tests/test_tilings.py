@@ -29,7 +29,14 @@ from polybox.errors import (
     WrongCount,
 )
 from polybox import words as kernel
-from polybox.tilings import ExtremalDecomposition, _intern, _shown, cubes_dichotomous
+from polybox import tilings
+from polybox.tilings import (
+    ExtremalDecomposition,
+    TorusTiling,
+    _intern,
+    _shown,
+    cubes_dichotomous,
+)
 
 F = Fraction
 
@@ -178,6 +185,12 @@ class TestVerify:
             tiling_verify([["1e5000"], ["0"]])
         assert "outside [0, 2)" in str(info.value)
 
+    def test_rejects_zero_dimensions(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            tiling_verify([[]])
+        with pytest.raises(ValueError, match="d >= 1"):
+            TorusTiling(0, ((),))
+
     def test_word_layer_consistency(self, rng):
         for seed in range(10):
             t = generate_two_extremal(rng.randint(1, 3), seed)
@@ -214,10 +227,43 @@ class TestTwoExtremal:
         t = tiling_verify([[str(x) for x in c] for c in generate_two_extremal(3, 5).cubes])
         before = repr(t), hash(t)
         is_two_extremal(t)
+        assert t.rank_keys
         fresh = tiling_verify(t.cubes)
-        assert "extremality" not in repr(t)
+        assert "extremality" not in repr(t) and "rank_keys" not in repr(t)
         assert (repr(t), hash(t)) == before == (repr(fresh), hash(fresh))
         assert t == fresh and fresh == t
+
+
+class TestRankKeys:
+    def test_keys_order_words_as_cubes(self):
+        # 1/3 and 4/3 share a letter pair, as do 1/2 and 3/2
+        third = [cube(F(1, 3), 0), cube(F(4, 3), 0), cube(F(4, 3), 1), cube(F(1, 3), 1)]
+        halves = [cube(F(1, 2), F(3, 2)), cube(F(3, 2), F(3, 2)),
+                  cube(F(5, 6), F(1, 2)), cube(F(11, 6), F(1, 2))]
+        examples = [tiling_verify(third), tiling_verify(halves)]
+        for d, seed in itertools.product((1, 2, 3, 4), range(8)):
+            examples.append(generate_two_extremal(d, seed))
+        for t in examples:
+            keys = t.rank_keys
+            assert len(keys) == len(t.cubes)
+            for i, j in itertools.product(range(len(keys)), repeat=2):
+                a, b = t.cubes[i], t.cubes[j]
+                assert (keys[i] < keys[j], keys[i] == keys[j]) == (a < b, a == b)
+
+    def test_two_decompose_calls_rank_once(self, monkeypatch):
+        t = tiling_verify(generate_two_extremal(4, 3).cubes)
+        ranks = tilings._ranks
+        calls = []
+
+        def counted(values):
+            calls.append(values)
+            return ranks(values)
+
+        monkeypatch.setattr(tilings, "_ranks", counted)
+        for dec in (decompose(t), decompose(t, select="seed", seed=3)):
+            assert list(dec.plus) == sorted(dec.plus)
+            assert list(dec.minus) == sorted(dec.minus)
+        assert len(calls) == 1
 
 
 class TestDecompose:

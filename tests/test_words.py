@@ -66,14 +66,18 @@ def candidates(members, flip):
     return out
 
 
-def brute_complete(members, flip):
-    if len(members) > 1 << len(flip):
-        return "ValueError"
-    found = [
+def brute_found(members, flip):
+    return [
         w
         for w in itertools.product(*candidates(members, flip))
         if all(any(a ^ f == b for a, b, f in zip(w, v, flip)) for v in members)
     ]
+
+
+def brute_complete(members, flip):
+    if len(members) > 1 << len(flip):
+        return "ValueError"
+    found = brute_found(members, flip)
     missing = (1 << len(flip)) - len(members)
     if len(found) < missing:
         return "Incomplete"
@@ -202,6 +206,54 @@ class TestComplete:
             cause = info.value.__cause__
             assert isinstance(cause, NotDichotomous)
             assert (cause.i, cause.j) == clash
+
+    def test_clash_cause_matches_pairwise_on_damaged_fragments(self):
+        # the final check runs on the members through the search's hit
+        # tables and on the words found on their own; its cause must still
+        # be the first clash of members + found
+        rng = random.Random(55)
+        causes = Counter()
+        for _ in range(1500):
+            on_letters = rng.randrange(2)
+            if on_letters:
+                d = rng.randint(1, 4)
+                flip = (1,) * d
+                words = genome_words(rng, d)
+            else:
+                words, flip = suit_words(rng, rng.randint(1, 3))
+            rng.shuffle(words)
+            members = words[: rng.randint(1, len(words))]
+            members = damaged(rng, members, candidates(members, flip))
+            try:
+                kernel.complete(members, flip)
+            except NotUnique as exc:
+                cause = exc.__cause__
+                if cause is not None:
+                    found = brute_found(members, flip)
+                    clash = pairwise_first_clash(members + found, flip)
+                    assert (cause.i, cause.j) == clash
+                    causes[on_letters] += 1
+            except (PolyboxError, ValueError):
+                pass
+        assert causes[0] > 10 and causes[1] > 10
+
+    def test_clash_among_the_words_found(self):
+        # pairwise dichotomous members that no genome extends: the 10 words
+        # found hit every member, but two of them clash with each other, so
+        # the cause indexes members + found past the 6 members
+        members = [
+            (4, 4, 3, 5), (5, 3, 3, 3), (2, 3, 2, 5),
+            (4, 5, 4, 4), (5, 2, 4, 2), (3, 5, 5, 2),
+        ]
+        flip = (1,) * 4
+        kernel.require_dichotomous(members, flip)
+        found = brute_found(members, flip)
+        assert len(found) == 10
+        with pytest.raises(NotUnique, match="do not extend") as info:
+            kernel.complete(members, flip)
+        cause = info.value.__cause__
+        assert (cause.i, cause.j) == pairwise_first_clash(members + found, flip)
+        assert cause.i >= len(members)
 
     def test_half_of_a_product_genome(self):
         flip = (1, 1, 1)
