@@ -18,7 +18,7 @@ from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as kernel
-from .errors import SpaceMismatch
+from .errors import SpaceMismatch, require_budget
 
 # Subsets must fit one machine word; the enumeration algorithms are
 # exponential in sum(dims) anyway, so this cap never binds in practice.
@@ -74,9 +74,6 @@ class BoxSpace:
     def size_sum(self) -> int:
         """|X|_1 = |X_1| + ... + |X_d|, the exponent driving enumeration cost."""
         return sum(self.dims)
-
-    def full_mask(self, i: int) -> int:
-        return (1 << self.dims[i]) - 1
 
     @cached_property
     def full_masks(self) -> tuple[int, ...]:
@@ -179,6 +176,7 @@ def simple_suit(c: Box) -> list[Box]:
     a suit whose union is the whole space.
     """
     support = c.support()
+    require_budget(len(support), "simple suit needs |support|")
     out = []
     for bits in range(1 << len(support)):
         factors = list(c.factors)

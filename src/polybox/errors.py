@@ -94,10 +94,6 @@ class CriteriaDisagree(PolyboxError):
     """Independent decision routes returned different verdicts (a bug)."""
 
 
-class GSumExceeds2d(PolyboxError):
-    """Overlap sum above 2^d; the word set was not a genome."""
-
-
 class NoWitness(PolyboxError):
     """No rigidity witness exists although the theorem guarantees one."""
 
@@ -128,6 +124,10 @@ class NotTwoExtremal(PolyboxError):
 
 class TheoremViolation(PolyboxError):
     """An identity that must hold failed at runtime (a bug, not bad input)."""
+
+
+class GSumExceeds2d(TheoremViolation):
+    """Overlap sum above 2^d, which no validated genome has (a bug)."""
 
 
 class InputError(PolyboxError):

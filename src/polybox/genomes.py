@@ -76,16 +76,13 @@ class Alphabet:
         code = self._code[letter]
         return (code >> 1) - 1, 1 - (code & 1)
 
-    def check_word(self, w: Sequence[str]) -> Word:
-        word = tuple(w)
-        for s in word:
-            if s not in self._code:
-                raise ValueError(f"letter {s!r} not in the alphabet")
-        return word
-
     def encode(self, word: Sequence[str]) -> tuple[int, ...]:
-        """The word in kernel letters (see polybox.words)."""
-        return tuple(self._code[s] for s in word)
+        """The word in kernel letters (see polybox.words); ValueError names
+        the first letter outside the alphabet."""
+        try:
+            return tuple(map(self._code.__getitem__, word))
+        except KeyError as exc:
+            raise ValueError(f"letter {exc.args[0]!r} not in the alphabet") from None
 
     def decode(self, code: Sequence[int]) -> Word:
         """Inverse of encode; kernel letter 1 decodes to the star."""
@@ -122,12 +119,12 @@ class GenomeSet:
             raise ValueError("word length must be at least 1")
         words = tuple(tuple(w) for w in self.words)
         object.__setattr__(self, "words", words)
+        codes = []
         for w in words:
             if len(w) != self.d:
                 raise ValueError(f"word {w} does not have length {self.d}")
-            self.alphabet.check_word(w)
-        codes = tuple(self.alphabet.encode(w) for w in words)
-        object.__setattr__(self, "codes", codes)
+            codes.append(self.alphabet.encode(w))
+        object.__setattr__(self, "codes", tuple(codes))
         kernel.require_dichotomous(codes, _flip(self.d))
 
     def __len__(self) -> int:
@@ -165,8 +162,8 @@ def _word_form(alphabet: Alphabet, d: int, codes) -> WordCanonicalForm:
 
 def word_expand(alphabet: Alphabet, v: Sequence[str]) -> WordCanonicalForm:
     """Expand a word by replacing each negative letter s with * - s'."""
-    word = alphabet.check_word(v)
-    return _word_form(alphabet, len(word), [alphabet.encode(word)])
+    code = alphabet.encode(v)
+    return _word_form(alphabet, len(code), [code])
 
 
 def genome_canonical(w: GenomeSet) -> WordCanonicalForm:
@@ -206,10 +203,10 @@ def covers(v: Sequence[str], w: GenomeSet) -> CoverResult:
     on a complementary one, and ignores unrelated letters; for a genuine
     genome the sum can never exceed 2^d.
     """
-    v = w.alphabet.check_word(v)
-    if len(v) != w.d:
+    code = w.alphabet.encode(v)
+    if len(code) != w.d:
         raise ValueError("word has wrong length")
-    return _overlap(w.alphabet.encode(v), w.codes)
+    return _overlap(code, w.codes)
 
 
 def _overlap(code: tuple[int, ...], members: Sequence[tuple[int, ...]]) -> CoverResult:
@@ -299,7 +296,7 @@ def rigidity_witness(w: GenomeSet, v: Sequence[str]) -> Word:
     Exists whenever a word outside w is covered by w; failing to find one
     contradicts the uniqueness theorem, hence the dedicated error.
     """
-    v = w.alphabet.check_word(v)
+    v = tuple(v)
     if v in w.words:
         raise ValueError("the covered word must lie outside the genome")
     if not covers(v, w).covered:
@@ -357,7 +354,7 @@ def reconstruct_minus(
     """
     d = w_plus.d
     alphabet = universe if universe is not None else w_plus.alphabet
-    members = [alphabet.encode(alphabet.check_word(word)) for word in w_plus.words]
+    members = [alphabet.encode(word) for word in w_plus.words]
     found = kernel.complete(members, _flip(d))
     # x ^ 1 orders kernel letters as sort_key orders letters
     found.sort(key=lambda code: tuple(x ^ 1 for x in code))

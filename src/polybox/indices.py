@@ -68,8 +68,7 @@ def index_representatives(space: BoxSpace) -> Iterator[Box]:
     what = "index representative enumeration needs |X|_1"
     require_budget(space.size_sum, what)
     per_factor = []
-    for i, n in enumerate(space.dims):
-        full = space.full_mask(i)
+    for full in space.full_masks:
         masks = [m for m in range(1, full) if m & 1]
         masks.append(full)
         per_factor.append(masks)
@@ -130,9 +129,7 @@ class BinaryCode:
         """Exhaustively check the complement-sum invariant on every factor."""
         what = "binary code validation needs |X|_1"
         require_budget(self.space.size_sum, what)
-        for i, n in enumerate(self.space.dims):
-            full = self.space.full_mask(i)
-            fn = self.bit_fns[i]
+        for fn, full in zip(self.bit_fns, self.space.full_masks):
             for m in range(1, full):
                 if fn(m) + fn(full ^ m) != 1:
                     return False
@@ -195,15 +192,13 @@ def equicomplementary_labelling(
     factor i (default: masks containing element 0); a box is labelled by the
     vector saying on which side each factor falls.
     """
+    require_budget(space.size_sum, "equicomplementary labelling needs |X|_1")
     if transversals is None:
-        chosen = [
-            {m for m in range(1, space.full_mask(i)) if m & 1}
-            for i in range(space.d)
-        ]
+        chosen = [{m for m in range(1, full) if m & 1} for full in space.full_masks]
     else:
         chosen = [set(t) for t in transversals]
         for i, t in enumerate(chosen):
-            full = space.full_mask(i)
+            full = space.full_masks[i]
             for m in range(1, full):
                 if (m in t) == (full ^ m in t):
                     raise ValueError(
@@ -221,7 +216,7 @@ def _all_proper_boxes(space: BoxSpace) -> Iterator[Box]:
     count = math.prod((1 << n) - 2 for n in space.dims)
     what = "proper box enumeration needs log2 count"
     require_budget((count - 1).bit_length(), what)
-    per_factor = [range(1, space.full_mask(i)) for i in range(space.d)]
+    per_factor = [range(1, full) for full in space.full_masks]
     for factors in itertools.product(*per_factor):
         yield Box(space, factors)
 
@@ -240,9 +235,8 @@ def verify_dyadic(l: DyadicLabelling) -> bool:
     if seen != set(l.labels):
         return False
 
-    for i in range(space.d):
-        full = space.full_mask(i)
-        others = [range(1, space.full_mask(j)) for j in range(space.d) if j != i]
+    for i, full in enumerate(space.full_masks):
+        others = [range(1, f) for j, f in enumerate(space.full_masks) if j != i]
         for rest in itertools.product(*others):
             label_pair = None
             for m in range(1, full):

@@ -34,8 +34,7 @@ def _candidate_boxes(
     space: BoxSpace, remaining: frozenset[Point], anchor: Point
 ) -> Iterator[Box]:
     per_factor = []
-    for i in range(space.d):
-        full = space.full_mask(i)
+    for i, full in enumerate(space.full_masks):
         bit = 1 << anchor[i]
         per_factor.append([m for m in range(1, full) if m & bit])
     for masks in itertools.product(*per_factor):
@@ -125,7 +124,8 @@ def e_realization(alphabet: Alphabet, v: Sequence[str]) -> tuple[int, ...]:
     """The box of v in the selection space: one selection mask per position."""
     m = len(alphabet.pairs)
     require_budget(2 * m, "selection masks need 2 * letter pairs")
-    word = alphabet.check_word(v)
+    word = tuple(v)
+    alphabet.encode(word)  # refuses a letter outside the alphabet
     return tuple(selection_mask(alphabet, s) for s in word)
 
 
@@ -174,8 +174,7 @@ class Realization:
     def __post_init__(self):
         if len(self.factor_maps) != self.space.d:
             raise ValueError("one letter map per factor required")
-        for i, table in enumerate(self.factor_maps):
-            full = self.space.full_mask(i)
+        for table, full in zip(self.factor_maps, self.space.full_masks):
             for s, mask in table.items():
                 if not 0 < mask < full:
                     raise ValueError(f"letter {s!r} maps to an improper subset")
@@ -198,8 +197,7 @@ def random_exact_realization(
     """Distinct complement classes per factor make the realization exact."""
     m = len(alphabet.pairs)
     maps = []
-    for i, n in enumerate(space.dims):
-        full = space.full_mask(i)
+    for i, full in enumerate(space.full_masks):
         reps = [mask for mask in range(1, full) if mask & 1]
         if len(reps) < m:
             raise BudgetExceeded(
@@ -228,7 +226,9 @@ def random_realization_check(
             raise ValueError(f"factor {i} too small for an exact realization")
     rng = random.Random(seed)
     realization = random_exact_realization(w.alphabet, space, rng)
-    v_box = realization.realize_word(w.alphabet.check_word(v))
+    word = tuple(v)
+    w.alphabet.encode(word)  # refuses a letter outside the alphabet
+    v_box = realization.realize_word(word)
     member_points: set[Point] = set()
     for box in realization.realize(w):
         member_points.update(box.points())

@@ -256,10 +256,6 @@ def serialize_cubes(d: int, cubes: Sequence[Cube]) -> dict:
     }
 
 
-def serialize_tiling(t: TorusTiling) -> dict:
-    return serialize_cubes(t.d, t.cubes)
-
-
 def serialize_canonical_form(cf: CanonicalForm) -> dict:
     return {
         "kind": "canonical-form",

@@ -101,11 +101,6 @@ def _ranks(values: dict[int, Fraction]) -> dict[int, int]:
     return {x: r for r, x in enumerate(sorted(values, key=values.__getitem__))}
 
 
-def cubes_dichotomous(a: Cube, b: Cube) -> bool:
-    """True when some coordinate pair differs by 1 mod 2."""
-    return any((x - y) % 2 == 1 for x, y in zip(a, b))
-
-
 def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
     """Word indices grouped by integral offsets of their cubes: the letters
     of two cubes at integral offsets are of the same pair at every position.
@@ -215,10 +210,10 @@ class ExtremalDecomposition:
 
 
 def decompose(
-    t: TorusTiling, select: str = "lex", seed: Optional[int] = None
+    t: TorusTiling, select: str = "lex", seed: int = 0
 ) -> ExtremalDecomposition:
     """Split every partner pair; `lex` takes the smaller cube as plus,
-    `seed` picks sides deterministically from the given seed.
+    `seed` picks sides deterministically from the given seed (default 0).
 
     Partners always differ at an odd number of coordinates (an even pattern
     would force a third integral partner), so the split is an induced
@@ -289,13 +284,15 @@ def chessboard_check(
 
     Two half-open unit intervals on the circle of circumference 2 are
     disjoint exactly when their left ends differ by 1 mod 2, so the cube at
-    z meets the cube at c unless some coordinate pair sits at distance 1.
+    z meets the cube at c unless some coordinate pair sits at distance 1,
+    that is, unless their kernel words are dichotomous.
     """
     zc = tuple(Fraction(x) % 2 for x in z)
     if len(zc) != t.d:
         raise WrongCount("query point has wrong dimension")
-    for cube in decomposition.plus:
-        if not cubes_dichotomous(zc, cube):
+    _, (zw, *words), _ = _intern([zc, *decomposition.plus])
+    for cube, w in zip(decomposition.plus, words):
+        if not kernel.dichotomous(zw, w, (1,) * t.d):
             return ChessboardResult(False, cube)
     if zc not in decomposition.minus:
         raise TheoremViolation(

@@ -18,7 +18,7 @@ def spaces(draw, max_d: int = 3, dims: tuple[int, ...] = (2, 3, 4)):
 def proper_boxes(draw, space: BoxSpace | None = None):
     sp = space if space is not None else draw(spaces())
     factors = tuple(
-        draw(st.integers(min_value=1, max_value=sp.full_mask(i) - 1))
+        draw(st.integers(min_value=1, max_value=sp.full_masks[i] - 1))
         for i in range(sp.d)
     )
     return Box(sp, factors)
@@ -28,7 +28,7 @@ def proper_boxes(draw, space: BoxSpace | None = None):
 def boxes(draw, space: BoxSpace | None = None):
     sp = space if space is not None else draw(spaces())
     factors = tuple(
-        draw(st.integers(min_value=1, max_value=sp.full_mask(i)))
+        draw(st.integers(min_value=1, max_value=sp.full_masks[i]))
         for i in range(sp.d)
     )
     return Box(sp, factors)

@@ -31,7 +31,7 @@ def random_space(
 def random_proper_box(space: BoxSpace, rng: random.Random) -> Box:
     return Box(
         space,
-        tuple(rng.randrange(1, space.full_mask(i)) for i in range(space.d)),
+        tuple(rng.randrange(1, space.full_masks[i]) for i in range(space.d)),
     )
 
 
@@ -47,16 +47,14 @@ def random_suit_for_space(space: BoxSpace, rng: random.Random) -> Suit:
             return [Box(space, factors)]
         i = rng.choice(remaining)
         rest = tuple(c for c in remaining if c != i)
-        t = rng.randrange(1, space.full_mask(i))
+        t = rng.randrange(1, space.full_masks[i])
         left = list(factors)
         left[i] = t
         right = list(factors)
-        right[i] = space.full_mask(i) ^ t
+        right[i] = space.full_masks[i] ^ t
         return rec(tuple(left), rest) + rec(tuple(right), rest)
 
-    boxes = rec(
-        tuple(space.full_mask(i) for i in range(space.d)), tuple(range(space.d))
-    )
+    boxes = rec(space.full_masks, tuple(range(space.d)))
     return verify_suit(boxes, require_proper=True)
 
 

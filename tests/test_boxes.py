@@ -169,7 +169,7 @@ class TestSimpleSuit:
 
 def per_factor_proper(b):
     """Properness as `Box.is_proper` tested it factor by factor."""
-    return all(m != b.space.full_mask(i) for i, m in enumerate(b.factors))
+    return all(m != b.space.full_masks[i] for i, m in enumerate(b.factors))
 
 
 class TestProperness:
@@ -177,5 +177,5 @@ class TestProperness:
     def test_matches_per_factor_formula(self, b):
         assert b.is_proper == per_factor_proper(b)
         assert b.support() == tuple(
-            i for i, m in enumerate(b.factors) if m != b.space.full_mask(i)
+            i for i, m in enumerate(b.factors) if m != b.space.full_masks[i]
         )

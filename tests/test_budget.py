@@ -20,10 +20,13 @@ from polybox import (
     Box,
     BoxSpace,
     PointSet,
+    box_number,
     equicomplementary_labelling,
     generate_two_extremal,
+    hat_cardinality,
     is_minimal_partition,
     polybox_equal_by_index,
+    simple_suit,
     suits_equivalent,
     verify_dyadic,
 )
@@ -177,3 +180,30 @@ def test_index_route_is_bounded_by_its_sums_not_by_the_space():
         assert polybox_equal_by_index(f, g) == suits_equivalent(f, g)
     with pytest.raises(BudgetExceeded):
         run_with_budget(7, polybox_equal_by_index, f, g)
+
+
+@pytest.mark.parametrize(
+    "fn, arg, bits",
+    [
+        # 2^5 boxes, one per subset of the support
+        (simple_suit, Box.from_sets(BoxSpace((3,) * 5), [{0}] * 5), 5),
+        # 3^5 = 243 points: 8 bits
+        (PointSet.full, BoxSpace((3,) * 5), 8),
+        # 2^11 masks per factor of 12 x 12: |X|_1 = 24
+        (equicomplementary_labelling, BoxSpace((12, 12)), 24),
+    ],
+    ids=["simple_suit", "full_point_set", "equicomplementary_labelling"],
+)
+def test_construction_is_refused_before_it_starts(fn, arg, bits):
+    run_with_budget(bits, fn, arg)
+    with pytest.raises(BudgetExceeded, match=f" = {bits} <= budget {bits - 1}$"):
+        run_with_budget(bits - 1, fn, arg)
+
+
+def test_box_number_of_a_box_needs_no_budget():
+    # |X|_1 = 28 is over the budget, but a box's closed form is O(d)
+    space = BoxSpace((4,) * 7)
+    box = Box.from_sets(space, [{0}] * 7)
+    assert box_number(box) == 1 and hat_cardinality(box) == 1 << 14
+    with pytest.raises(BudgetExceeded, match="fingerprint enumeration needs"):
+        box_number(PointSet(space, frozenset(box.points())))

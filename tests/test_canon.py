@@ -94,9 +94,9 @@ class TestTwinKernel:
         for _ in range(20):
             space = random_space(rng, max_d=2, dim_choices=(3, 4))
             i = rng.randrange(space.d)
-            full = space.full_mask(i)
+            full = space.full_masks[i]
             rest = [
-                rng.randrange(1, space.full_mask(j))
+                rng.randrange(1, space.full_masks[j])
                 for j in range(space.d)
                 if j != i
             ]

@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 from polybox.cli import main
-from polybox.errors import CriteriaDisagree, NoWitness, TheoremViolation
+from polybox.errors import (
+    CriteriaDisagree,
+    GSumExceeds2d,
+    NoWitness,
+    TheoremViolation,
+)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -150,6 +155,18 @@ class TestGenomeCommands:
         )
         assert code == 0 and doc["equal"] is True
 
+    @pytest.mark.parametrize("method", ["canon", "index", "cover"])
+    @pytest.mark.parametrize(
+        "b, equal", [("genome_swapped.json", True), ("genome_plus.json", False)]
+    )
+    def test_genome_equiv_single_method(self, capsys, method, b, equal):
+        code, doc = run_json(
+            capsys, "genome-equiv", "--a", fx("genome_class.json"), "--b", fx(b),
+            "--method", method,
+        )
+        assert code == (0 if equal else 1)
+        assert doc["equal"] is equal and doc["methods"] == {method: equal}
+
     def test_cover(self, capsys):
         code, doc = run_json(
             capsys,
@@ -173,11 +190,49 @@ class TestGenomeCommands:
         )
         assert code == 1 and not doc["covered"]
 
+    @pytest.mark.parametrize(
+        "word, detail",
+        [("a,x", "letter 'x' not in the alphabet"), ("a,b,a", "word has wrong length")],
+    )
+    def test_cover_bad_word_is_input_error(self, capsys, word, detail):
+        code, doc = run_json(
+            capsys, "cover", "--word", word, "--genome", fx("genome_class.json")
+        )
+        assert code == 2
+        assert doc["error"] == {"code": "InputError", "detail": detail}
+
     def test_rigidity(self, capsys):
         code, doc = run_json(capsys, "rigidity", "--plus", fx("genome_plus.json"))
         assert code == 0
         assert doc["kind"] == "genome"
         assert sorted(map(tuple, doc["words"])) == [("a", "b'"), ("a'", "b")]
+
+    def test_rigidity_over_a_wider_universe(self, capsys, tmp_path):
+        pairs = [["a", "a'"], ["b", "b'"], ["c", "c'"]]
+        universe = tmp_path / "universe.json"
+        universe.write_text(json.dumps(
+            {"kind": "genome", "version": "1", "d": 2, "pairs": pairs, "words": []}
+        ))
+        code, doc = run_json(
+            capsys, "rigidity", "--plus", fx("genome_plus.json"),
+            "--universe", str(universe),
+        )
+        assert code == 0 and doc["pairs"] == pairs
+        assert sorted(map(tuple, doc["words"])) == [("a", "b'"), ("a'", "b")]
+
+    def test_rigidity_universe_missing_a_letter_is_input_error(self, capsys, tmp_path):
+        universe = tmp_path / "universe.json"
+        universe.write_text(json.dumps(
+            {"kind": "genome", "version": "1", "d": 2,
+             "pairs": [["a", "a'"], ["c", "c'"]], "words": []}
+        ))
+        code, doc = run_json(
+            capsys, "rigidity", "--plus", fx("genome_plus.json"),
+            "--universe", str(universe),
+        )
+        assert code == 2 and doc["error"] == {
+            "code": "InputError", "detail": "letter 'b' not in the alphabet"
+        }
 
 
 class TestTilingCommands:
@@ -468,6 +523,19 @@ class TestArgumentAndFaultReports:
         assert code == 3
         assert json.loads(captured.out)["error"]["code"] == "CriteriaDisagree"
         assert "Traceback" in captured.err and "CriteriaDisagree" in captured.err
+
+    def test_overlap_fault_exits_3(self, capsys, monkeypatch):
+        def broken(code, members):
+            raise GSumExceeds2d("overlap sum 5 exceeds 4")
+
+        monkeypatch.setattr("polybox.genomes._overlap", broken)
+        code = main(["cover", "--word", "a,b", "--genome", fx("genome_class.json")])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert json.loads(captured.out)["error"] == {
+            "code": "GSumExceeds2d", "detail": "overlap sum 5 exceeds 4"
+        }
+        assert "Traceback" in captured.err and "GSumExceeds2d" in captured.err
 
     @pytest.mark.parametrize("fault", [TheoremViolation, CriteriaDisagree, NoWitness])
     def test_internal_faults_exit_3(self, capsys, monkeypatch, fault):

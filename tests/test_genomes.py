@@ -18,10 +18,12 @@ from polybox import (
     word_index,
 )
 from polybox.errors import (
+    GSumExceeds2d,
     InconsistentOrientation,
     NotDichotomous,
     NotUnique,
     SpaceMismatch,
+    TheoremViolation,
 )
 from generate import (
     letter_names,
@@ -30,8 +32,9 @@ from generate import (
     random_genome,
     random_word,
 )
-from polybox.genomes import equivalent_by_cover
+from polybox.genomes import _overlap, equivalent_by_cover
 from polybox.oracle import (
+    e_realization,
     e_realization_covers,
     e_realization_covers_points,
     random_realization_check,
@@ -55,6 +58,26 @@ class TestAlphabet:
             Alphabet((("a", "a"),))
         with pytest.raises(ValueError):
             Alphabet((("*", "x"),))
+
+    def test_every_route_names_the_first_foreign_letter(self):
+        w = genome(AB, 2, ("a", "b"), ("a'", "b"))
+        routes = [
+            lambda: AB.encode(("a", "x", "y")),
+            # the first bad word decides, whether its length or a letter is bad
+            lambda: genome(AB, 2, ("a", "b"), ("x", "b"), ("a",)),
+            lambda: word_expand(AB, ("a", "x", "y")),
+            # a bad letter is reported before a wrong length
+            lambda: covers(("a", "x", "y"), w),
+            lambda: rigidity_witness(w, ("x", "b")),
+            lambda: reconstruct_minus(w, universe=Alphabet((("a", "a'"), ("x", "x'")))),
+            lambda: e_realization(AB, ("a", "x", "y")),
+            lambda: random_realization_check(("x", "b"), w, BoxSpace((3, 3)), 0),
+        ]
+        for route in routes:
+            with pytest.raises(ValueError, match=r"^letter '[xb]' not in the alphabet$"):
+                route()
+        with pytest.raises(ValueError, match="does not have length 2"):
+            genome(AB, 2, ("a", "b"), ("a",), ("x", "b"))
 
 
 class TestGenomeValidation:
@@ -137,6 +160,13 @@ class TestCovers:
         w = genome(AB, 1, ("a'",))
         result = covers(("a",), w)
         assert not result.covered and result.g_sum == 0
+
+    def test_overlap_above_2d_is_a_theorem_violation(self):
+        # a word twice is no genome: each copy overlaps it in 2^2
+        with pytest.raises(GSumExceeds2d, match="overlap sum 8 exceeds 4") as info:
+            _overlap((3, 5), [(3, 5), (3, 5)])
+        assert isinstance(info.value, TheoremViolation)
+        assert info.value.code == "GSumExceeds2d"
 
     def test_g_sum_bound_and_oracle_agreement(self, rng):
         for _ in range(300):

@@ -179,7 +179,7 @@ class TestDyadic:
         # a random transversal: one mask from each complementary pair
         transversals = []
         for i in range(S33.d):
-            full = S33.full_mask(i)
+            full = S33.full_masks[i]
             t = set()
             for m in range(1, full):
                 if full ^ m not in t:
@@ -356,7 +356,7 @@ class TestWiezaStructure:
                                 all(
                                     d.factors[i] != c.factors[i]
                                     and d.factors[i]
-                                    != S333.full_mask(i) ^ c.factors[i]
+                                    != S333.full_masks[i] ^ c.factors[i]
                                     for i in subset
                                 )
                                 for d in odd

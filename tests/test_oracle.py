@@ -165,7 +165,7 @@ class TestRealizations:
     def test_exact_realization_respects_complements(self, rng):
         realization = random_exact_realization(AB, S33, rng)
         for i in range(S33.d):
-            full = S33.full_mask(i)
+            full = S33.full_masks[i]
             table = realization.factor_maps[i]
             for pos, neg in AB.pairs:
                 assert table[pos] ^ table[neg] == full
@@ -211,7 +211,7 @@ class TestRealizations:
             per_position = [(STAR,) + alphabet.letters()] * d
             for u in itertools.product(*per_position):
                 c = Box(space, tuple(
-                    space.full_mask(i) if s == STAR else realization.factor_maps[i][s]
+                    space.full_masks[i] if s == STAR else realization.factor_maps[i][s]
                     for i, s in enumerate(u)
                 ))
                 assert word_index(genome, u) == suit_index(suit, c)

@@ -12,10 +12,10 @@ from polybox.serialize import (
     parse_suit,
     parse_tiling,
     serialize_canonical_form,
+    serialize_cubes,
     serialize_genome,
     serialize_points,
     serialize_suit,
-    serialize_tiling,
     serialize_word_canonical_form,
 )
 from polybox import genome_canonical, generate_two_extremal
@@ -59,7 +59,7 @@ class TestRoundTrips:
 
     def test_tiling(self):
         t = generate_two_extremal(3, 11)
-        doc = serialize_tiling(t)
+        doc = serialize_cubes(t.d, t.cubes)
         assert parse_tiling(loads(dumps(doc))) == t
 
     def test_dumps_is_stable(self, rng):

@@ -73,19 +73,19 @@ class TestVerifySuit:
         c = data.draw(boxes())
         space = c.space
         members = simple_suit(c)
-        full = [i for i in range(space.d) if c.factors[i] == space.full_mask(i)]
+        full = [i for i in range(space.d) if c.factors[i] == space.full_masks[i]]
         if full and data.draw(st.booleans()):
             i = data.draw(st.sampled_from(full))
-            t = data.draw(st.integers(1, space.full_mask(i) - 1))
+            t = data.draw(st.integers(1, space.full_masks[i] - 1))
             first = list(members[0].factors)
             halves = []
-            for m in (t, space.full_mask(i) ^ t):
+            for m in (t, space.full_masks[i] ^ t):
                 first[i] = m
                 halves.append(Box(space, tuple(first)))
             members[:1] = halves
         suit = verify_suit(members)
         assert suit.is_proper == all(
-            m != space.full_mask(i) for b in members for i, m in enumerate(b.factors)
+            m != space.full_masks[i] for b in members for i, m in enumerate(b.factors)
         )
 
 
@@ -134,7 +134,7 @@ class TestHatCardinality:
     def test_box_route_matches_point_route(self, data):
         space = data.draw(spaces(max_d=3, dims=(2, 3, 4, 5)))
         factors = tuple(
-            data.draw(st.integers(min_value=1, max_value=space.full_mask(i)))
+            data.draw(st.integers(min_value=1, max_value=space.full_masks[i]))
             for i in range(space.d)
         )
         box = Box(space, factors)

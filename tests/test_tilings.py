@@ -3,6 +3,8 @@
 `reference_intern` is the row-by-row `_intern` that remembered only parsed
 strings and interned values; the current one also keeps each value's letter
 by the id() of its Fraction within a call, and resolves known rows at once.
+`cubes_dichotomous` is the Fraction dichotomy test the chess-board check
+made before it decided on kernel words.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from polybox.tilings import (
     TorusTiling,
     _intern,
     _shown,
-    cubes_dichotomous,
 )
 
 F = Fraction
@@ -46,6 +47,11 @@ def cube(*coords):
 
 
 EXAMPLE = [cube(0, 0), cube(1, 0), cube(F(1, 2), 1), cube(F(3, 2), 1)]
+
+
+def cubes_dichotomous(a, b) -> bool:
+    """True when some coordinate pair differs by 1 mod 2."""
+    return any((x - y) % 2 == 1 for x, y in zip(a, b))
 
 
 def reference_intern(rows):
@@ -282,6 +288,24 @@ class TestDecompose:
         b = decompose(t, select="seed", seed=5)
         assert a == b
 
+    def test_seed_defaults_to_zero(self):
+        t = generate_two_extremal(3, 2)
+        halves = {decompose(t, "seed") for _ in range(9)}
+        assert halves == {decompose(t, "seed", 0)}
+
+    def test_cubes_out_of_order_give_the_same_halves(self):
+        # each partner pair listed in reverse: the pairs keep their order, so
+        # the seed selector draws the same side for each
+        for d in range(1, 6):
+            t = generate_two_extremal(d, d)
+            cubes = list(t.cubes)
+            for i, j in is_two_extremal(t).partners:
+                cubes[i], cubes[j] = cubes[j], cubes[i]
+            swapped = TorusTiling(d, tuple(cubes))
+            assert swapped.cubes != t.cubes
+            for select in ("lex", "seed"):
+                assert decompose(swapped, select) == decompose(t, select)
+
     def test_rejects_non_extremal(self):
         grid = [cube(a, b) for a in (0, 1) for b in (0, 1)]
         with pytest.raises(NotTwoExtremal):
@@ -364,6 +388,22 @@ class TestChessboard:
         dec = decompose(t)
         z = tuple(x + 2 for x in dec.minus[0])
         assert chessboard_check(t, dec, z).in_minus
+
+    def test_matches_the_fraction_route(self, rng):
+        hits = 0
+        for _ in range(300):
+            t = generate_two_extremal(rng.randint(1, 5), rng.randrange(100))
+            dec = decompose(t, "seed", rng.randrange(100))
+            values = sorted({x for c in t.cubes for x in c})
+            z = [rng.choice(values) + rng.choice((0, 2, -2)) for _ in range(t.d)]
+            if rng.randrange(4) == 0:
+                z[rng.randrange(t.d)] = F(rng.randrange(12), rng.randrange(1, 7))
+            zc = tuple(x % 2 for x in z)
+            overlap = next((c for c in dec.plus if not cubes_dichotomous(zc, c)), None)
+            result = chessboard_check(t, dec, z)
+            assert result == (overlap is None, overlap), (t, z)
+            hits += result.in_minus
+        assert 10 < hits < 290
 
 
 class TestGenerator:
