@@ -93,13 +93,22 @@ def _flip(d: int) -> tuple[int, ...]:
     return (1,) * d
 
 
+def _encode_pair(alphabet: Alphabet, v: Word, w: Word):
+    """v and w in kernel letters, then their flip; ValueError names the
+    first letter outside the alphabet, else the two lengths."""
+    a, b = alphabet.encode(v), alphabet.encode(w)
+    if len(a) != len(b):
+        raise ValueError(f"words of lengths {len(a)} and {len(b)}")
+    return a, b, _flip(len(a))
+
+
 def words_dichotomous(alphabet: Alphabet, v: Word, w: Word) -> bool:
-    return kernel.dichotomous(alphabet.encode(v), alphabet.encode(w), _flip(len(v)))
+    return kernel.dichotomous(*_encode_pair(alphabet, v, w))
 
 
 def epsilon_between(alphabet: Alphabet, v: Word, w: Word) -> Optional[tuple[int, ...]]:
     """Complement pattern turning v into w, or None when w is outside v's class."""
-    return kernel.epsilon(alphabet.encode(v), alphabet.encode(w), _flip(len(v)))
+    return kernel.epsilon(*_encode_pair(alphabet, v, w))
 
 
 @dataclass(frozen=True)
@@ -256,24 +265,32 @@ def equivalent_by_cover(v: GenomeSet, w: GenomeSet) -> bool:
     A word the other genome holds is covered with overlap sum exactly 2^d
     (every other member is dichotomous to it), so only the words it lacks
     are checked, in genome order: the first to fail or raise is the same.
+    Their sums skip the shared words too, as each is in the checked word's
+    own genome, so dichotomous to it, and adds 0.
     """
     _check_comparable(v, w)
     if len(v) != len(w):
         return False
     held_v, held_w = set(v.codes), set(w.codes)
-    return all(
-        _overlap(c, w.codes).covered for c in v.codes if c not in held_w
-    ) and all(_overlap(c, v.codes).covered for c in w.codes if c not in held_v)
+    only_v = [c for c in v.codes if c not in held_w]
+    only_w = [c for c in w.codes if c not in held_v]
+    return all(_overlap(c, only_w).covered for c in only_v) and all(
+        _overlap(c, only_v).covered for c in only_w
+    )
 
 
 def genomes_equivalent(v: GenomeSet, w: GenomeSet) -> bool:
-    """Equivalence by three independent routes, which must agree.
+    """Equivalence by three routes, which must agree.
 
     (a) equal canonical expansions; (b) equal indices over the restricted
-    starred words; (c) mutual covering with equal cardinality.
+    starred words; (c) mutual covering with equal cardinality.  (a) and (b)
+    share one cancellation and one glue (words.same_expansions); (c) shares
+    nothing with them.
     """
-    by_canon = equivalent_by_canon(v, w)
-    by_index = equivalent_by_index(v, w)
+    _check_comparable(v, w)
+    by_canon, by_index = kernel.same_expansions(
+        v.codes, w.codes, _flip(v.d), (False, True)
+    )
     by_cover = equivalent_by_cover(v, w)
     if not (by_canon == by_index == by_cover):
         raise CriteriaDisagree(

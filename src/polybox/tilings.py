@@ -251,7 +251,8 @@ def reconstruct(plus: Sequence[Sequence]) -> tuple[Cube, ...]:
     """The unique minus half determined by a plus half of 2^(d-1) cubes.
 
     Completes the plus half in the word kernel over the coordinate values
-    occurring in it and their complements.
+    occurring in it and their complements; the completion reuses the tables
+    that checked the plus half, so its pairs are checked once.
     """
     cubes, words, pairs = _intern(plus)
     if not cubes:
@@ -261,8 +262,8 @@ def reconstruct(plus: Sequence[Sequence]) -> tuple[Cube, ...]:
         raise ValueError("plus cubes need one common dimension d >= 1")
     if len(cubes) != 1 << d - 1:
         raise WrongCount(f"{len(cubes)} cubes; a plus half needs {1 << d - 1}")
-    kernel.require_dichotomous(words, (1,) * d)
-    minus = kernel.complete(words, (1,) * d)
+    flip = (1,) * d
+    minus = kernel._complete(words, flip, kernel.require_dichotomous(words, flip))
     values = _values(pairs)
     rank = _ranks(values)
     minus.sort(key=lambda w: tuple(map(rank.__getitem__, w)))

@@ -61,12 +61,15 @@ def _first_clash(words: Sequence[Sequence[int]], hit: list, shift: int = 0) -> N
             raise NotDichotomous(shift + i, shift + i + (gap & -gap).bit_length())
 
 
-def require_dichotomous(words: Sequence[Sequence[int]], flip: Word) -> None:
+def require_dichotomous(words: Sequence[Sequence[int]], flip: Word) -> list:
     """Raise NotDichotomous(i, j) for the first pair i < j that is not.
 
     A word's _hits bitsets OR to the words dichotomous to it: O(n d) int ops.
+    Returns the checked _hits tables, which _complete can reuse.
     """
-    _first_clash(words, _hits(words, flip))
+    hit = _hits(words, flip)
+    _first_clash(words, hit)
+    return hit
 
 
 def twin_at(v: Sequence[int], w: Sequence[int], flip: Word) -> Optional[int]:
@@ -192,7 +195,16 @@ def _glue(words: Sequence[Word], flip: Word) -> dict[Word, int]:
 def same_expansion(
     v: Sequence[Word], w: Sequence[Word], flip: Word, stars: bool = False
 ) -> bool:
-    """expand(v, flip, stars) == expand(w, flip, stars), decided on what differs.
+    """expand(v, flip, stars) == expand(w, flip, stars): same_expansions
+    for the one mode."""
+    return same_expansions(v, w, flip, (stars,))[0]
+
+
+def same_expansions(
+    v: Sequence[Word], w: Sequence[Word], flip: Word, modes: Sequence[bool]
+) -> list[bool]:
+    """expand(v, flip, stars) == expand(w, flip, stars) for each stars in
+    modes, in order, decided on what differs.
 
     Expansion is linear in the words, so the words both sides hold cancel,
     counted with multiplicity.  Replacing each starred positive letter x at
@@ -203,34 +215,44 @@ def same_expansion(
     r_i(star) - r_i(x ^ star) for a negative one.  Different sums prove that
     the expansions differ; a match is glued (_glue) and only glued words the
     sides do not share are expanded, so the verdict is exact on every
-    input.  Both sides' budget checks run first, with expand's bits and message.
+    input.  Neither the cancellation nor the glue depends on stars, so each
+    is made once for all modes.  Each mode runs both sides' budget checks,
+    with expand's bits and message, just before its own residues and
+    expansion: verdicts and errors are those of one call per mode.
     """
-    require_expansion(v, stars)
-    require_expansion(w, stars)
-    count = Counter(v)
-    count.subtract(w)
-    rv = [u for u, k in count.items() for _ in range(k)]
-    rw = [u for u, k in count.items() for _ in range(-k)]
-    tables = []
-    for i, (f, column) in enumerate(zip(flip, zip(*rv, *rw))):
-        star = hash((i, f))
-        plus = star if stars else 0
-        tables.append({
-            x: plus + hash((i, x)) if x & 1 else star - hash((i, x ^ f))
-            for x in set(column)
-        })
-
-    def residue(words: list[Word]) -> int:
-        return sum(math.prod(map(getitem, tables, u)) for u in words) % P
-
-    if residue(rv) != residue(rw):
-        return False
-    gv, gw = _glue(rv, flip), _glue(rw, flip)
-    if gv == gw:
-        return True
-    rv = [u for u, k in gv.items() for _ in range(k - gw.get(u, 0))]
-    rw = [u for u, k in gw.items() for _ in range(k - gv.get(u, 0))]
-    return expand(rv, flip, stars) == expand(rw, flip, stars)
+    verdicts = []
+    rv = gv = None
+    for stars in modes:
+        require_expansion(v, stars)
+        require_expansion(w, stars)
+        if rv is None:
+            count = Counter(v)
+            count.subtract(w)
+            rv = [u for u, k in count.items() for _ in range(k)]
+            rw = [u for u, k in count.items() for _ in range(-k)]
+        tables = []
+        for i, (f, column) in enumerate(zip(flip, zip(*rv, *rw))):
+            star = hash((i, f))
+            plus = star if stars else 0
+            tables.append({
+                x: plus + hash((i, x)) if x & 1 else star - hash((i, x ^ f))
+                for x in set(column)
+            })
+        if (
+            sum(math.prod(map(getitem, tables, u)) for u in rv)
+            - sum(math.prod(map(getitem, tables, u)) for u in rw)
+        ) % P:
+            verdicts.append(False)
+            continue
+        if gv is None:
+            gv, gw = _glue(rv, flip), _glue(rw, flip)
+        if gv == gw:
+            verdicts.append(True)
+            continue
+        sv = [u for u, k in gv.items() for _ in range(k - gw.get(u, 0))]
+        sw = [u for u, k in gw.items() for _ in range(k - gv.get(u, 0))]
+        verdicts.append(expand(sv, flip, stars) == expand(sw, flip, stars))
+    return verdicts
 
 
 def index(u: Sequence[int], words: Sequence[Sequence[int]], flip: Word) -> int:
@@ -268,12 +290,18 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     every member, that checks the members through the hit tables and the
     words found among themselves.
     """
+    return _complete(members, flip, None)
+
+
+def _complete(members: Sequence[Word], flip: Word, checked: Optional[list]) -> list[Word]:
+    """complete, given the members' tables from require_dichotomous
+    (checked) or None; checked members are not checked again."""
     d = len(flip)
     m = len(members)
     if m > 1 << d:
         raise ValueError("fragment larger than the expected genome")
 
-    hit = _hits(members, flip)
+    hit = _hits(members, flip) if checked is None else checked
     prefixes = math.prod(len(h) for h in hit[:-1])
     bits = max(2 * d, (prefixes - 1).bit_length())
     require_budget(bits, "completion needs log2 max(4^d, prefixes)")
@@ -303,7 +331,8 @@ def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     if len(found) > missing:
         raise NotUnique(f"found {len(found)} candidates for {missing} slots")
     try:
-        _first_clash(members, hit)
+        if checked is None:
+            _first_clash(members, hit)
         _first_clash(found, _hits(found, flip), m)
     except NotDichotomous as exc:
         raise NotUnique("candidates do not extend the fragment to one genome") from exc

@@ -507,8 +507,12 @@ class TestArgumentAndFaultReports:
         assert "--method" in capsys.readouterr().out
 
     def test_disagreeing_route_exits_3(self, capsys, monkeypatch):
+        # genomes_equivalent takes its canon and index verdicts from one
+        # same_expansions call; the fixtures are equivalent, so index alone
+        # disagrees
         monkeypatch.setattr(
-            "polybox.genomes.equivalent_by_index", lambda v, w: False
+            "polybox.words.same_expansions",
+            lambda v, w, flip, modes: [True, False],
         )
         code = main(
             [

@@ -32,7 +32,12 @@ from generate import (
     random_genome,
     random_word,
 )
-from polybox.genomes import _overlap, equivalent_by_cover
+from polybox.genomes import (
+    _overlap,
+    epsilon_between,
+    equivalent_by_cover,
+    words_dichotomous,
+)
 from polybox.oracle import (
     e_realization,
     e_realization_covers,
@@ -78,6 +83,18 @@ class TestAlphabet:
                 route()
         with pytest.raises(ValueError, match="does not have length 2"):
             genome(AB, 2, ("a", "b"), ("a",), ("x", "b"))
+
+
+class TestWordPairs:
+    def test_words_of_two_lengths_are_refused(self):
+        # the kernel's map/zip would stop at the shorter word: True and (0,)
+        for route in (words_dichotomous, epsilon_between):
+            with pytest.raises(ValueError, match="^words of lengths 2 and 1$"):
+                route(AB, ("a", "b"), ("a'",))
+            with pytest.raises(ValueError, match="^words of lengths 1 and 2$"):
+                route(AB, ("a",), ("a", "b"))
+        assert words_dichotomous(AB, ("a", "b"), ("a'", "b"))
+        assert epsilon_between(AB, ("a", "b"), ("a'", "b")) == (1, 0)
 
 
 class TestGenomeValidation:
@@ -279,6 +296,26 @@ class TestEquivalence:
             assert verdict == all_words(v, w)
             verdicts.append(verdict)
         assert 250 <= sum(verdicts) <= 450
+
+    def test_overlap_over_the_unshared_words_only(self, rng):
+        # the cover route sums a word of v missing from w over the words of
+        # w missing from v: each shared word is in v, so dichotomous to it
+        sums = 0
+        for k in range(300):
+            alphabet = random_alphabet(rng, max_pairs=3)
+            d = rng.randint(1, 4)
+            v = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
+            if k % 2:
+                w = mutate_genome(v, rng, moves=rng.randint(1, 3))
+            else:
+                w = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
+            for x, y in ((v, w), (w, v)):
+                unshared = [c for c in y.codes if c not in x.codes]
+                for c in x.codes:
+                    if c not in y.codes:
+                        assert _overlap(c, unshared) == _overlap(c, y.codes)
+                        sums += len(unshared) < len(y.codes)
+        assert sums >= 200
 
 
 class TestRigidityWitness:

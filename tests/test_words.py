@@ -491,6 +491,70 @@ class TestSameExpansion:
         assert 500 <= sum(verdicts) <= 1000
         assert decided["glued"] >= 900 and decided["expanded"] >= 200
 
+    def test_both_modes_at_once_match_two_calls(self, monkeypatch):
+        # same_expansions cancels and glues once for both modes; each
+        # verdict, or the first error and its message, must be what one
+        # same_expansion call per mode gives, at every budget up to one bit
+        # past what the larger side's expansion with stars needs
+        glued = []
+        glue = kernel._glue
+
+        def counted(words, flip):
+            glued.append(words)
+            return glue(words, flip)
+
+        def outcome(budget, fn):
+            try:
+                return run_with_budget(budget, fn)
+            except PolyboxError as exc:
+                return type(exc).__name__, str(exc)
+
+        monkeypatch.setattr(kernel, "_glue", counted)
+        rng = random.Random(73)
+        seen = Counter()
+        for k in range(160):
+            if k < 8:
+                d, alphabet = 5, Alphabet(letter_names(3))
+            else:
+                d, alphabet = rng.randint(1, 4), random_alphabet(rng, max_pairs=3)
+            v = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
+            if k % 2:
+                w = mutate_genome(v, rng, moves=rng.randint(1, 4))
+            else:
+                w = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
+            flip = (1,) * d
+            bits = ((max(len(v), len(w)) << d) - 1).bit_length()
+            for a, b in ((v.codes, w.codes), (w.codes, v.codes)):
+                for budget in range(bits + 2):
+                    glued.clear()
+                    both = outcome(budget, lambda: tuple(
+                        kernel.same_expansions(a, b, flip, (False, True))
+                    ))
+                    once = len(glued)
+                    glued.clear()
+                    each = outcome(budget, lambda: tuple(
+                        kernel.same_expansion(a, b, flip, stars)
+                        for stars in (False, True)
+                    ))
+                    assert both == each, (a, b, budget)
+                    # one glue per side, where two calls glue per mode
+                    assert once <= min(2, len(glued))
+                    if each == (True, True):
+                        assert 2 * once == len(glued) == 4
+                    if isinstance(each[0], bool):
+                        seen[each] += 1
+                    elif isinstance(outcome(budget, lambda: kernel.same_expansion(
+                        a, b, flip
+                    )), bool):
+                        seen["index refused"] += 1
+                    else:
+                        seen["canon refused"] += 1
+        # both verdicts, and refusals before either verdict and after the
+        # first, where the budget passes the count of terms without stars
+        # but not the bound with them
+        assert seen["canon refused"] >= 500 and seen["index refused"] >= 100
+        assert seen[True, True] >= 100 and seen[False, False] >= 100
+
     def test_glue_keeps_expansion_and_leaves_no_twin(self):
         rng = random.Random(67)
         shrunk = 0
