@@ -12,12 +12,12 @@ each factor's full mask as the complement flip.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from operator import ne
 from typing import Iterable, Iterator, Optional, Sequence
 
 from . import words as kernel
+from ._frozen import Frozen
 from .errors import SpaceMismatch, require_budget
 
 # Subsets must fit one machine word; the enumeration algorithms are
@@ -49,8 +49,7 @@ def members_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class BoxSpace:
+class BoxSpace(Frozen):
     """Ambient d-box given by its factor cardinalities (each >= 2)."""
 
     dims: tuple[int, ...]
@@ -84,8 +83,7 @@ class BoxSpace:
         return itertools.product(*(range(n) for n in self.dims))
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Frozen):
     """A nonempty product A_1 x ... x A_d, one nonempty subset mask per factor."""
 
     space: BoxSpace

@@ -13,9 +13,8 @@ is glued first, and only what gluing leaves unmatched is expanded (2^d each).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import words as kernel
+from ._frozen import Frozen
 from .boxes import Box, BoxSpace
 from .errors import SpaceMismatch
 from .suits import Suit
@@ -23,12 +22,12 @@ from .suits import Suit
 BasisKey = tuple[int, ...]
 
 
-@dataclass
-class CanonicalForm:
+class CanonicalForm(Frozen):
     """Sparse integer combination of basis boxes, keyed by factor masks."""
 
     space: BoxSpace
     coeffs: dict[BasisKey, int]
+    __hash__ = None  # coeffs is a dict
 
     def __post_init__(self):
         for key, value in self.coeffs.items():

@@ -11,11 +11,11 @@ covering with equal cardinality all decide the same equivalence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from . import words as kernel
+from ._frozen import Frozen
 from .errors import (
     CriteriaDisagree,
     GSumExceeds2d,
@@ -29,8 +29,7 @@ STAR = "*"
 Word = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """Ordered letter pairs (s, s'); the first member of each pair is positive."""
 
     pairs: tuple[tuple[str, str], ...]
@@ -111,8 +110,7 @@ def epsilon_between(alphabet: Alphabet, v: Word, w: Word) -> Optional[tuple[int,
     return kernel.epsilon(*_encode_pair(alphabet, v, w))
 
 
-@dataclass(frozen=True)
-class GenomeSet:
+class GenomeSet(Frozen):
     """Pairwise dichotomous words of one length over one alphabet.
 
     `codes` holds the same words in kernel letters, computed once here.
@@ -121,7 +119,6 @@ class GenomeSet:
     alphabet: Alphabet
     d: int
     words: tuple[Word, ...]
-    codes: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
@@ -146,12 +143,12 @@ class GenomeSet:
         return seen
 
 
-@dataclass
-class WordCanonicalForm:
+class WordCanonicalForm(Frozen):
     """Sparse integer combination of monomials over starred positive letters."""
 
     d: int
     coeffs: dict[Word, int]
+    __hash__ = None  # coeffs is a dict
 
     def __post_init__(self):
         for key, value in self.coeffs.items():

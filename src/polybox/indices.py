@@ -13,10 +13,10 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Optional, Sequence
 
 from . import words as kernel
+from ._frozen import Frozen
 from .boxes import Box, BoxSpace, EpsilonVector, complement_action, same_space
 from .errors import EvenFactor, NotProper, SpaceMismatch, require_budget
 from .suits import Suit, verify_suit
@@ -107,8 +107,7 @@ def apply_epsilon(s: Suit, eps: EpsilonVector) -> Suit:
     return verify_suit(images)
 
 
-@dataclass(frozen=True)
-class BinaryCode:
+class BinaryCode(Frozen):
     """Per-factor 0/1 labels with complementary subsets summing to 1."""
 
     space: BoxSpace
@@ -152,8 +151,7 @@ def more_less_code(space: BoxSpace) -> BinaryCode:
     )
 
 
-@dataclass(frozen=True)
-class CodeProfile:
+class CodeProfile(Frozen):
     """Codeword multiset of a suit plus its histogram by codeword weight."""
 
     codewords: tuple[tuple[int, ...], ...]
@@ -171,8 +169,7 @@ def binary_code_profile(s: Suit, code: BinaryCode) -> CodeProfile:
     return CodeProfile(tuple(words), tuple(hist))
 
 
-@dataclass(frozen=True)
-class DyadicLabelling:
+class DyadicLabelling(Frozen):
     """A total labelling of proper boxes with a declared target label set."""
 
     space: BoxSpace

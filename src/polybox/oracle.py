@@ -12,9 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
+from ._frozen import Frozen
 from .boxes import Box, BoxSpace, members_of
 from .errors import BudgetExceeded, NoPartition, TheoremViolation, require_budget
 from .genomes import Alphabet, GenomeSet
@@ -163,8 +163,7 @@ def e_realization_covers_points(v: Sequence[str], w: GenomeSet) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Realization:
+class Realization(Frozen):
     """Per-factor letter images: complementary letters map to complements."""
 
     alphabet: Alphabet

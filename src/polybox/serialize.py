@@ -72,9 +72,13 @@ def _box(space: BoxSpace, raw: Any, where: str) -> Box:
     if not isinstance(raw, list) or len(raw) != space.d:
         raise InputError(f"{where}: a box needs {space.d} subsets")
     try:
-        return Box.from_sets(space, [_subset(s, where) for s in raw])
+        box = Box.from_sets(space, [_subset(s, where) for s in raw])
     except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
+    for s in raw:
+        if any(a >= b for a, b in zip(s, s[1:])):
+            raise InputError(f"{where}: subset {s} is not increasing without repeats")
+    return box
 
 
 def parse_box(space: BoxSpace, text: str) -> Box:
@@ -122,9 +126,12 @@ def parse_points(obj: dict) -> PointSet:
             raise InputError("each point is an integer array")
         pts.append(tuple(p))
     try:
-        return PointSet(space, frozenset(pts))
+        ps = PointSet(space, frozenset(pts))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
+    if len(ps) != len(pts):
+        raise InputError("points must not repeat")
+    return ps
 
 
 def serialize_points(ps: PointSet) -> dict:
@@ -208,7 +215,9 @@ def fraction(raw: Any, where: str) -> Fraction:
         raise InputError(f"{where}: rationals are 'p/q' strings")
     try:
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise InputError(f"{where}: zero denominator") from None
+    except ValueError as exc:
         raise InputError(f"{where}: {exc}") from exc
 
 

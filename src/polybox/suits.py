@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import and_, getitem, ne
 from typing import Iterator, Optional, Sequence, Union
 
 from . import words as kernel
+from ._frozen import Frozen
 from .boxes import Box, BoxSpace, is_dichotomous
 from .errors import (
     NotAPartition,
@@ -32,8 +32,7 @@ from .errors import (
 Point = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PointSet:
+class PointSet(Frozen):
     """An arbitrary subset of the points of a box space."""
 
     space: BoxSpace
@@ -57,8 +56,7 @@ class PointSet:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class Suit:
+class Suit(Frozen):
     """A collection of pairwise dichotomous boxes; validated on construction."""
 
     space: BoxSpace

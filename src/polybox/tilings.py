@@ -13,13 +13,13 @@ from __future__ import annotations
 import itertools
 import random
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import getitem, ne
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import words as kernel
+from ._frozen import Frozen
 from .errors import (
     CoordOutOfRange,
     NotTwoExtremal,
@@ -111,8 +111,7 @@ def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
     return list(classes.values())
 
 
-@dataclass(frozen=True)
-class TorusTiling:
+class TorusTiling(Frozen):
     """A validated cube tiling: 2^d pairwise dichotomous offset vectors.
 
     `codes` (the cubes as kernel words) and `letter_pairs` (their letters'
@@ -121,10 +120,6 @@ class TorusTiling:
 
     d: int
     cubes: tuple[Cube, ...]
-    codes: tuple[Word, ...] = field(init=False, repr=False, compare=False)
-    letter_pairs: tuple[tuple[int, int], ...] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         if self.d < 1:
@@ -181,8 +176,7 @@ def is_two_extremal(t: TorusTiling) -> ExtremalityResult:
     return t.extremality
 
 
-@dataclass(frozen=True)
-class ExtremalDecomposition:
+class ExtremalDecomposition(Frozen):
     """Halves of a 2-extremal tiling with every partner pair split."""
 
     plus: tuple[Cube, ...]

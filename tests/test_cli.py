@@ -325,6 +325,20 @@ class TestTilingCommands:
         )
         assert code == 2 and doc["error"]["code"] == "InputError"
 
+    def test_zero_denominator_has_its_own_message(self, capsys, tmp_path):
+        code, doc = run_json(
+            capsys, "tiling-chessboard", fx("tiling_d2.json"), "--z", "1/0,0"
+        )
+        assert code == 2
+        assert doc["error"] == {"code": "InputError", "detail": "z: zero denominator"}
+        path = tmp_path / "tiling.json"
+        path.write_text(json.dumps(
+            {"kind": "tiling", "version": "1", "d": 1, "cubes": [["1/00"], ["0"]]}
+        ))
+        code, doc = run_json(capsys, "tiling-verify", str(path))
+        assert code == 2
+        assert doc["error"] == {"code": "InputError", "detail": "cube 0: zero denominator"}
+
     def test_chessboard_minus_member(self, capsys):
         code, doc = run_json(
             capsys,

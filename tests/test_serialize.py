@@ -7,6 +7,7 @@ from generate import random_proper_suit, random_genome, random_alphabet
 from polybox.serialize import (
     dumps,
     loads,
+    parse_box,
     parse_genome,
     parse_points,
     parse_suit,
@@ -37,6 +38,30 @@ class TestEnvelope:
             loads("[1,2,3]")
         with pytest.raises(InputError):
             loads("{nope")
+
+
+class TestInputEdges:
+    @pytest.mark.parametrize("subset", [[0, 0], [2, 1], [0, 2, 1], [1, 1, 2]])
+    def test_refuses_unsorted_or_repeated_subsets(self, subset):
+        doc = {"kind": "suit", "version": "1", "dims": [3, 3], "boxes": [[subset, [0]]]}
+        with pytest.raises(InputError, match=r"box 0: subset \[.*\] is not increasing"):
+            parse_suit(doc)
+        with pytest.raises(InputError, match="invalid box: subset"):
+            parse_box(S33, dumps([[0], subset]))
+
+    def test_range_errors_keep_their_precedence(self):
+        doc = {"kind": "suit", "version": "1", "dims": [3, 3], "boxes": [[[5, 5], [0]]]}
+        with pytest.raises(InputError, match="element 5 out of range"):
+            parse_suit(doc)
+
+    def test_refuses_repeated_points(self):
+        doc = {"kind": "points", "version": "1", "dims": [3, 3],
+               "points": [[0, 1], [2, 2], [0, 1]]}
+        with pytest.raises(InputError, match="points must not repeat"):
+            parse_points(doc)
+        doc["points"][2] = [3, 0]
+        with pytest.raises(InputError, match="outside the space"):
+            parse_points(doc)
 
 
 class TestRoundTrips:
