@@ -5,10 +5,11 @@ full or proper subsets containing element 0: a factor already of that shape
 stays itself, any other factor A becomes X - (X \\ A).  Distributing the
 product writes the box as at most 2^d signed basis boxes, and two proper
 suits describe the same polybox exactly when their summed expansions agree
-coefficient by coefficient.  The comparison (words.same_expansion) never
-builds a whole form: boxes both suits hold cancel, one evaluation of each
-remainder mod a prime refutes most unequal pairs in |suit| * d time, a match
-is glued first, and only what gluing leaves unmatched is expanded (2^d each).
+coefficient by coefficient.  same_polybox decides this and the index
+criterion in one words.same_expansions call, which never builds a whole
+form: boxes both suits hold cancel, one evaluation of each remainder mod a
+prime refutes most unequal pairs in |suit| * d time, a match is glued first,
+and only what gluing leaves unmatched is expanded (2^d each).
 """
 
 from __future__ import annotations
@@ -52,23 +53,29 @@ def project_box(a: Box) -> CanonicalForm:
     return CanonicalForm(a.space, kernel.expand([a.factors], a.space.full_masks))
 
 
-def _proper_words(s: Suit) -> list[BasisKey]:
+def proper_words(s: Suit) -> list[BasisKey]:
+    """The suit's words, its boxes' factor masks; refuses an improper box."""
     if not s.is_proper:
-        raise ValueError("only proper boxes are projected")
+        raise ValueError("suit holds an improper box")
     return [a.factors for a in s.boxes]
 
 
 def canonical_form(s: Suit) -> CanonicalForm:
     """Coefficient-wise sum of the member projections."""
-    return CanonicalForm(s.space, kernel.expand(_proper_words(s), s.space.full_masks))
+    return CanonicalForm(s.space, kernel.expand(proper_words(s), s.space.full_masks))
+
+
+def same_polybox(f: Suit, g: Suit, modes: tuple[bool, ...]) -> list[bool]:
+    """Polybox equality by each criterion in modes, in order: False compares
+    canonical forms, True indices (words.same_expansions).  Refuses other
+    spaces, then an improper f, then an improper g, then f's and g's budget.
+    """
+    if f.space != g.space:
+        raise SpaceMismatch("suits live in different spaces")
+    fw = proper_words(f)
+    return kernel.same_expansions(fw, proper_words(g), f.space.full_masks, modes)
 
 
 def suits_equivalent(f: Suit, g: Suit) -> bool:
     """True iff the suits define the same polybox: equal canonical forms."""
-    if f.space != g.space:
-        raise SpaceMismatch("suits live in different spaces")
-    flip = f.space.full_masks
-    fw = _proper_words(f)
-    # f's budget refuses before g's properness, as when each form was built
-    kernel.require_expansion(fw)
-    return kernel.same_expansion(fw, _proper_words(g), flip)
+    return same_polybox(f, g, (False,))[0]

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import serialize as ser
-from .canon import canonical_form, suits_equivalent
+from .canon import canonical_form, same_polybox, suits_equivalent
 from .errors import (
     DEFAULT_BUDGET,
     CriteriaDisagree,
@@ -120,17 +120,16 @@ def _cmd_canon(args) -> tuple[int, dict]:
 def _cmd_equiv(args) -> tuple[int, dict]:
     f = _load_suit(args.a, require_proper=True)
     g = _load_suit(args.b, require_proper=True)
-    methods = {}
-    if args.method in ("canon", "all"):
-        methods["canon"] = suits_equivalent(f, g)
-    if args.method in ("index", "all"):
-        methods["index"] = polybox_equal_by_index(f, g)
-    if args.method in ("oracle", "all"):
+    if args.method == "all":
+        methods = dict(zip(("canon", "index"), same_polybox(f, g, (False, True))))
         methods["oracle"] = points_equal(f, g)
-    verdicts = set(methods.values())
-    if len(verdicts) > 1:
-        raise CriteriaDisagree(f"methods disagree: {methods}")
-    equal = verdicts.pop()
+        if len(set(methods.values())) > 1:
+            raise CriteriaDisagree(f"methods disagree: {methods}")
+    else:
+        route = {"canon": suits_equivalent, "index": polybox_equal_by_index,
+                 "oracle": points_equal}[args.method]
+        methods = {args.method: route(f, g)}
+    equal = all(methods.values())
     return 0 if equal else 1, ser.report(args.command, equal=equal, methods=methods)
 
 

@@ -18,6 +18,7 @@ from typing import Callable, Hashable, Iterator, Optional, Sequence
 from . import words as kernel
 from ._frozen import Frozen
 from .boxes import Box, BoxSpace, EpsilonVector, complement_action, same_space
+from .canon import proper_words, same_polybox
 from .errors import EvenFactor, NotProper, SpaceMismatch, require_budget
 from .suits import Suit, verify_suit
 
@@ -54,9 +55,7 @@ def eta(b: Box, a: Box) -> int:
 def suit_index(s: Suit, c: Box) -> int:
     """Sum of phi(c, .) over the suit; for c = X this is just |s|."""
     same_space(c, s.boxes[0])
-    if not s.is_proper:
-        raise ValueError("phi is defined on proper boxes only")
-    return kernel.index(c.factors, [a.factors for a in s.boxes], s.space.full_masks)
+    return kernel.index(c.factors, proper_words(s), s.space.full_masks)
 
 
 def index_representatives(space: BoxSpace) -> Iterator[Box]:
@@ -77,23 +76,18 @@ def index_representatives(space: BoxSpace) -> Iterator[Box]:
 
 
 def polybox_equal_by_index(f: Suit, g: Suit) -> bool:
-    """Polybox equality via index agreement on all class representatives.
+    """Polybox equality via index agreement on all class representatives:
+    canon.same_polybox for the one mode with stars.
 
     A suit's nonzero indices are its expansion with stars (words.expand),
-    and words.same_expansion compares the two suits' without summing them
+    and words.same_expansions compares the two suits' without summing them
     whole: boxes both suits hold cancel, one evaluation of each remainder
     mod a prime refutes most unequal pairs, a match is glued first, and only
     what gluing leaves unmatched has its indices summed, in O(|rest| 2^d).  A
     representative absent from both sums has index 0 in both.  The budget
     in force (errors.run_with_budget sets one) bounds |F| 2^d and |G| 2^d.
     """
-    if f.space != g.space:
-        raise SpaceMismatch("suits live in different spaces")
-    if not (f.is_proper and g.is_proper):
-        raise ValueError("phi is defined on proper boxes only")
-    flip = f.space.full_masks
-    fw, gw = ([a.factors for a in s.boxes] for s in (f, g))
-    return kernel.same_expansion(fw, gw, flip, stars=True)
+    return same_polybox(f, g, (True,))[0]
 
 
 def apply_epsilon(s: Suit, eps: EpsilonVector) -> Suit:

@@ -16,7 +16,9 @@ from typing import Iterator, Optional, Sequence
 
 from ._frozen import Frozen
 from .boxes import Box, BoxSpace, members_of
-from .errors import BudgetExceeded, NoPartition, TheoremViolation, require_budget
+from .errors import (
+    BudgetExceeded, NoPartition, SpaceMismatch, TheoremViolation, require_budget
+)
 from .genomes import Alphabet, GenomeSet
 from .suits import PointSet, Suit, union_points
 
@@ -25,6 +27,8 @@ Point = tuple[int, ...]
 
 def points_equal(f: Suit, g: Suit) -> bool:
     """Ground truth for every polybox-equality criterion."""
+    if f.space != g.space:
+        raise SpaceMismatch("suits live in different spaces")
     for s in (f, g):
         require_budget(s.space.size_sum, "point enumeration needs |X|_1")
     return union_points(f).members == union_points(g).members
@@ -129,6 +133,14 @@ def e_realization(alphabet: Alphabet, v: Sequence[str]) -> tuple[int, ...]:
     return tuple(selection_mask(alphabet, s) for s in word)
 
 
+def _realized(v: Sequence[str], w: GenomeSet) -> tuple[tuple[int, ...], list]:
+    """The boxes of v and of w's members; refuses v unless of w's length."""
+    vbox = e_realization(w.alphabet, v)
+    if len(vbox) != w.d:
+        raise ValueError("word has wrong length")
+    return vbox, [e_realization(w.alphabet, x) for x in w.words]
+
+
 def e_realization_covers(v: Sequence[str], w: GenomeSet) -> bool:
     """Cover verdict by containment in the selection-space realization.
 
@@ -136,9 +148,7 @@ def e_realization_covers(v: Sequence[str], w: GenomeSet) -> bool:
     reduces to comparing |box(v)| with the sum of its member overlaps, all
     computed by popcounts of explicit masks.
     """
-    alphabet = w.alphabet
-    vbox = e_realization(alphabet, v)
-    wboxes = [e_realization(alphabet, x) for x in w.words]
+    vbox, wboxes = _realized(v, w)
     for a, b in itertools.combinations(wboxes, 2):
         if all((x & y).bit_count() for x, y in zip(a, b)):
             raise TheoremViolation("genome members overlap in the selection space")
@@ -150,9 +160,7 @@ def e_realization_covers(v: Sequence[str], w: GenomeSet) -> bool:
 
 def e_realization_covers_points(v: Sequence[str], w: GenomeSet) -> bool:
     """Same verdict by raw point enumeration of the selection space."""
-    alphabet = w.alphabet
-    vbox = e_realization(alphabet, v)
-    wboxes = [e_realization(alphabet, x) for x in w.words]
+    vbox, wboxes = _realized(v, w)
     work = math.prod(x.bit_count() for x in vbox) * len(wboxes)
     require_budget((work - 1).bit_length(), "point cover check needs log2(points |W|)")
     for point in itertools.product(*(members_of(x) for x in vbox)):

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
+
 import pytest
 from polybox import (
     Box,
@@ -9,15 +12,24 @@ from polybox import (
     polybox_equal_by_index,
     project_box,
     simple_suit,
+    suit_index,
     suits_equivalent,
     verify_suit,
 )
-from polybox.errors import SpaceMismatch
+from polybox import words as kernel
+from polybox.canon import same_polybox
+from polybox.errors import (
+    BudgetExceeded,
+    PolyboxError,
+    SpaceMismatch,
+    run_with_budget,
+)
 from generate import (
     distinct_suit_pair,
     mutate_suit,
     random_proper_suit,
     random_space,
+    random_suit_for_space,
 )
 from polybox.oracle import points_equal
 
@@ -161,3 +173,103 @@ class TestAgreementWithIndexCriterion:
             index = polybox_equal_by_index(f, g)
             oracle = points_equal(f, g)
             assert canon == index == oracle
+
+
+def with_improper_box(s, rng):
+    """s with a random twin pair glued into one box holding the full factor
+    at their twin position, or s itself without twins; the union stays."""
+    flip = s.space.full_masks
+    words = [a.factors for a in s.boxes]
+    twins = kernel.twin_pairs(words, flip)
+    if not twins:
+        return s
+    i, j, c = rng.choice(twins)
+    glued = list(words[i])
+    glued[c] = flip[c]
+    rest = [w for k, w in enumerate(words) if k not in (i, j)]
+    return verify_suit([Box(s.space, w) for w in rest + [tuple(glued)]])
+
+
+class TestSamePolybox:
+    def test_both_criteria_at_once_match_the_public_calls(self, monkeypatch):
+        # same_polybox cancels and glues once for both criteria; its verdicts,
+        # or the first error and its message, must be what suits_equivalent
+        # and polybox_equal_by_index give, at every budget up to one bit past
+        # what the larger suit's expansion with stars needs
+        glued = []
+        glue = kernel._glue
+
+        def counted(words, flip):
+            glued.append(words)
+            return glue(words, flip)
+
+        def outcome(budget, fn):
+            try:
+                return run_with_budget(budget, fn)
+            except (PolyboxError, ValueError) as exc:
+                return type(exc).__name__, str(exc)
+
+        monkeypatch.setattr(kernel, "_glue", counted)
+        rng = random.Random(83)
+        seen = Counter()
+        for k in range(300):
+            space = random_space(rng, max_d=4 if k % 3 == 0 else 3)
+            f = random_proper_suit(space, rng)
+            if k % 2:
+                g = mutate_suit(f, rng, moves=rng.randint(1, 4))
+            else:
+                g = random_proper_suit(space, rng)
+            if k % 5 == 1:
+                f = with_improper_box(f, rng)
+            elif k % 5 == 2:
+                g = with_improper_box(g, rng)
+            elif k % 13 == 3:
+                g = random_proper_suit(random_space(rng), rng)
+            bits = ((max(len(f), len(g)) << space.d) - 1).bit_length()
+            for a, b in ((f, g), (g, f)):
+                for budget in range(bits + 2):
+                    glued.clear()
+                    both = outcome(budget, lambda: tuple(
+                        same_polybox(a, b, (False, True))
+                    ))
+                    once = len(glued)
+                    glued.clear()
+                    each = outcome(budget, lambda: (
+                        suits_equivalent(a, b), polybox_equal_by_index(a, b)
+                    ))
+                    assert both == each, (a, b, budget)
+                    # one glue per side, where the two calls glue per criterion
+                    assert once <= min(2, len(glued))
+                    if each == (True, True):
+                        assert 2 * once == len(glued) == 4
+                    if isinstance(each[0], bool):
+                        seen[each] += 1
+                    elif each[0] != "BudgetExceeded":
+                        seen[each[0]] += 1
+                    elif isinstance(outcome(budget, lambda: suits_equivalent(a, b)), bool):
+                        seen["index refused"] += 1
+                    else:
+                        seen["canon refused"] += 1
+        assert seen["canon refused"] >= 1000 and seen["index refused"] >= 200
+        assert seen[True, True] >= 300 and seen[False, False] >= 250
+        assert seen["ValueError"] >= 600 and seen["SpaceMismatch"] >= 100
+
+    def test_improper_g_is_refused_before_f_over_the_budget(self, rng):
+        # properness of both suits comes before either budget check
+        f = random_suit_for_space(S33, rng)
+        g = verify_suit([Box(S33, S33.full_masks)])
+        for route in (suits_equivalent, polybox_equal_by_index):
+            with pytest.raises(ValueError, match="^suit holds an improper box$"):
+                run_with_budget(0, route, f, g)
+            with pytest.raises(BudgetExceeded):
+                run_with_budget(0, route, f, f)
+
+    def test_one_text_for_an_improper_suit(self):
+        g = verify_suit([Box(S33, S33.full_masks)])
+        for refuse in (
+            lambda: canonical_form(g),
+            lambda: suit_index(g, Box(S33, (1, 1))),
+            lambda: same_polybox(g, g, (False, True)),
+        ):
+            with pytest.raises(ValueError, match="^suit holds an improper box$"):
+                refuse()

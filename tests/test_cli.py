@@ -5,6 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
+from polybox import words as kernel
 from polybox.cli import main
 from polybox.errors import (
     CriteriaDisagree,
@@ -81,18 +82,52 @@ class TestCanonAndEquiv:
         )
         assert code == 1 and doc["equal"] is False
 
-    def test_single_method(self, capsys):
+    @pytest.mark.parametrize("method", ["canon", "index", "oracle"])
+    @pytest.mark.parametrize(
+        "b, equal", [("suit_x2.json", True), ("suit_small.json", False)]
+    )
+    def test_single_method(self, capsys, method, b, equal):
         code, doc = run_json(
-            capsys,
-            "equiv",
-            "--a",
-            fx("suit_x.json"),
-            "--b",
-            fx("suit_x2.json"),
-            "--method",
-            "canon",
+            capsys, "equiv", "--a", fx("suit_x.json"), "--b", fx(b),
+            "--method", method,
         )
-        assert code == 0 and doc["methods"] == {"canon": True}
+        assert code == (0 if equal else 1)
+        assert doc["equal"] is equal and doc["methods"] == {method: equal}
+
+    @pytest.mark.parametrize("method", ["canon", "index", "oracle", "all"])
+    def test_spaces_must_match_on_every_route(self, capsys, tmp_path, method):
+        # suit_small.json's one box [[0],[1]] in 3x4: equal point sets of
+        # different spaces, which the point oracle alone would call equal
+        other = tmp_path / "suit_3x4.json"
+        other.write_text(json.dumps({
+            "version": "1", "kind": "suit", "dims": [3, 4], "boxes": [[[0], [1]]]
+        }))
+        code, doc = run_json(
+            capsys, "equiv", "--a", fx("suit_small.json"), "--b", str(other),
+            "--method", method,
+        )
+        assert code == 2
+        assert doc["error"] == {
+            "code": "SpaceMismatch", "detail": "suits live in different spaces"
+        }
+
+    def test_all_methods_glue_each_side_once(self, capsys, monkeypatch):
+        # canon and index share one cancellation and one glue per suit pair
+        glue = kernel._glue
+        glued = []
+
+        def counted(words, flip):
+            glued.append(words)
+            return glue(words, flip)
+
+        monkeypatch.setattr(kernel, "_glue", counted)
+        code, doc = run_json(
+            capsys, "equiv", "--a", fx("suit_x.json"), "--b", fx("suit_x2.json")
+        )
+        assert code == 0 and doc["methods"] == {
+            "canon": True, "index": True, "oracle": True
+        }
+        assert len(glued) == 2
 
 
 class TestIndexAndCodes:
@@ -520,23 +555,19 @@ class TestArgumentAndFaultReports:
         assert info.value.code == 0
         assert "--method" in capsys.readouterr().out
 
-    def test_disagreeing_route_exits_3(self, capsys, monkeypatch):
-        # genomes_equivalent takes its canon and index verdicts from one
+    @pytest.mark.parametrize("command, a, b", [
+        ("equiv", "suit_x.json", "suit_x2.json"),
+        ("genome-equiv", "genome_class.json", "genome_swapped.json"),
+    ])
+    def test_disagreeing_route_exits_3(self, capsys, monkeypatch, command, a, b):
+        # each layer takes its canon and index verdicts from one
         # same_expansions call; the fixtures are equivalent, so index alone
         # disagrees
         monkeypatch.setattr(
             "polybox.words.same_expansions",
             lambda v, w, flip, modes: [True, False],
         )
-        code = main(
-            [
-                "genome-equiv",
-                "--a",
-                fx("genome_class.json"),
-                "--b",
-                fx("genome_swapped.json"),
-            ]
-        )
+        code = main([command, "--a", fx(a), "--b", fx(b)])
         captured = capsys.readouterr()
         assert code == 3
         assert json.loads(captured.out)["error"]["code"] == "CriteriaDisagree"

@@ -14,6 +14,7 @@ from polybox import (
     GenomeSet,
     PointSet,
     box_number,
+    covers,
     epsilon_of,
     is_dichotomous,
     is_twin_pair,
@@ -22,7 +23,7 @@ from polybox import (
     verify_suit,
     word_index,
 )
-from polybox.errors import BudgetExceeded
+from polybox.errors import BudgetExceeded, SpaceMismatch
 from generate import letter_names, random_proper_suit, random_suit_for_space
 from polybox.oracle import (
     Realization,
@@ -59,6 +60,14 @@ class TestPointsEqual:
         f = verify_suit([bx([3, 3], {0}, {0})])
         g = verify_suit([bx([3, 3], {0}, {1})])
         assert not points_equal(f, g)
+
+    def test_spaces_must_match(self):
+        # one box [[0],[0]]: the same points in 3x3 and in 3x4
+        f = verify_suit([bx([3, 3], {0}, {0})])
+        g = verify_suit([bx([3, 4], {0}, {0})])
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(SpaceMismatch, match="^suits live in different spaces$"):
+                points_equal(a, b)
 
     def test_budget(self, rng):
         space = BoxSpace((5,) * 5)
@@ -159,6 +168,15 @@ class TestSelectionSpace:
             w = random_genome(alphabet, d, rng, size=rng.randint(1, 1 << d))
             v = random_word(alphabet, d, rng)
             assert e_realization_covers(v, w) == e_realization_covers_points(v, w)
+
+    @pytest.mark.parametrize("word", [("a",), ("a", "a", "a")])
+    def test_word_of_wrong_length_is_refused(self, word):
+        # as genomes.covers refuses it, on both oracle routes
+        one = Alphabet(letter_names(1))
+        genome = GenomeSet(one, 2, tuple(itertools.product(("a", "a'"), repeat=2)))
+        for route in (covers, e_realization_covers, e_realization_covers_points):
+            with pytest.raises(ValueError, match="^word has wrong length$"):
+                route(word, genome)
 
 
 class TestRealizations:
