@@ -53,7 +53,7 @@ from .indices import (
     suit_index,
 )
 from .oracle import points_equal
-from .suits import Suit, box_number, union_points, verify_suit
+from .suits import Suit, box_number, hat_cardinality, verify_suit
 from .tilings import (
     chessboard_check,
     decompose,
@@ -98,17 +98,17 @@ def _cmd_verify_suit(args) -> tuple[int, dict]:
 
 def _cmd_boxnum(args) -> tuple[int, dict]:
     kind, parsed = ser.parse_point_source(_load(args.input))
-    if kind == "suit":
-        space, boxes = parsed
-        points = union_points(verify_suit(boxes))
+    if kind == "suit":  # additive over the boxes, each |A|_0 a power of 2
+        suit = verify_suit(parsed[1])
+        value = hat_cardinality(suit) >> (suit.space.size_sum - 2 * suit.space.d)
+        count = sum(b.size() for b in suit)
     else:
-        points = parsed
-    value = box_number(points)
+        value, count = box_number(parsed), len(parsed)
     return 0, ser.report(
         args.command,
-        box_number=str(value),
+        box_number=str(ser.printable(value)),
         integral=value.denominator == 1,
-        point_count=len(points),
+        point_count=ser.printable(count),
     )
 
 

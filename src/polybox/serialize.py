@@ -244,16 +244,20 @@ def parse_tiling(obj: dict) -> TorusTiling:
     return TorusTiling(d, tuple(cubes))
 
 
+def printable(x: int | Fraction) -> int | Fraction:
+    """x, once it is known to print: a number of more digits than int-to-text
+    conversion allows is an input error, not Python's ValueError."""
+    try:
+        str(x)
+    except ValueError:
+        big = max(abs(x.numerator), x.denominator).bit_length()
+        raise InputError(f"cannot print a {big}-bit numerator or denominator") from None
+    return x
+
+
 def cube_rows(cubes: Sequence[Cube]) -> list[list[str]]:
     """Each cube's coordinates as reduced fraction strings."""
-    try:
-        return [[str(x) for x in c] for c in cubes]
-    except ValueError:  # more digits than int-to-text conversion allows
-        big = max(max(abs(x.numerator), x.denominator) for c in cubes for x in c)
-        raise InputError(
-            f"cannot print a coordinate with a {big.bit_length()}-bit numerator "
-            "or denominator"
-        ) from None
+    return [[str(printable(x)) for x in c] for c in cubes]
 
 
 def serialize_cubes(d: int, cubes: Sequence[Cube]) -> dict:

@@ -170,11 +170,13 @@ def _hat_of_points(g: PointSet) -> int:
     return count
 
 
-def hat_cardinality(g: Union[PointSet, Box]) -> int:
-    """Size of the odd-intersection fingerprint of g.  A Box takes its O(d)
-    closed form, so only a point set is held to the budget."""
+def hat_cardinality(g: Union[PointSet, Box, Suit]) -> int:
+    """Size of the odd-intersection fingerprint of g.  A Box, or each box of
+    a Suit, takes its O(d) closed form; only a point set has a budget."""
     if isinstance(g, Box):
         return _hat_of_box(g)
+    if isinstance(g, Suit):
+        return sum(map(_hat_of_box, g.boxes))
     require_budget(g.space.size_sum, "fingerprint enumeration needs |X|_1")
     return _hat_of_points(g)
 
@@ -282,8 +284,8 @@ def is_minimal_partition(parts: Sequence[Box], g: PointSet) -> bool:
 def strongly_disjoint(f: Suit, g: Suit) -> bool:
     """True iff the two proper suits concatenate into one suit.
 
-    The verdict only depends on the polyboxes, not on the particular suits
-    chosen to represent them.
+    The verdict only depends on the polyboxes, not on the suits chosen to
+    represent them; the unions overlap iff two boxes meet in every factor.
     """
     if f.space != g.space:
         raise SpaceMismatch("suits live in different spaces")
@@ -291,8 +293,6 @@ def strongly_disjoint(f: Suit, g: Suit) -> bool:
         for i, b in enumerate(s.boxes):
             if not b.is_proper:
                 raise NotProper(i)
-    fp = union_points(f)
-    gp = union_points(g)
-    if fp.members & gp.members:
+    if any(all(map(and_, a.factors, b.factors)) for a in f.boxes for b in g.boxes):
         raise UnionsOverlap("the suit unions share points")
     return all(is_dichotomous(a, b) for a in f.boxes for b in g.boxes)

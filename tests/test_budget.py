@@ -78,8 +78,10 @@ def hostile(tmp_path) -> Path:
         # the basis, and a'...a' has a negative letter at every position
         "wide_suit": suit([2] * 30, [[1]] * 30),
         "long_word": genome(30, [["a'"] * 30]),
-        # 20^6 = 64 million points in the union
-        "big_box": suit([20] * 6, [list(range(20))] * 6),
+        # one point, but the fingerprint of a point set in 20^6 enumerates
+        # tuples of odd subsets: |X|_1 = 120
+        "big_space": {"kind": "points", "version": "1", "dims": [20] * 6,
+                      "points": [[0] * 6]},
         # a fragment of 2 words for a genome of 2^22
         "two_words": genome(22, [["a"] * 22, ["a'"] * 22]),
     }
@@ -96,7 +98,7 @@ def hostile(tmp_path) -> Path:
         ("genome-equiv", "--a", "long_word.json", "--b", "long_word.json"),
         ("equiv", "--method", "canon", "--a", "wide_suit.json",
          "--b", "wide_suit.json"),
-        ("boxnum", "big_box.json"),
+        ("boxnum", "big_space.json"),
         ("rigidity", "--plus", "two_words.json"),
         ("tiling-gen", "--d", "1", "--count", "100000000"),
         ("tiling-gen", "--d", "12", "--count", "2"),
@@ -106,6 +108,34 @@ def hostile(tmp_path) -> Path:
 def test_hostile_document_is_refused_before_work(hostile, argv):
     code, doc = cli(hostile, *argv)
     assert code == 2 and doc["error"]["code"] == "BudgetExceeded", doc
+
+
+@pytest.mark.parametrize(
+    "dims, box, box_number, point_count",
+    [
+        # the whole space: 2^6 boxes' worth of fingerprint, 64 million points
+        ([20] * 6, [list(range(20))] * 6, "64", 20 ** 6),
+        # one proper box: its closed form is 1
+        ([2] * 100000, [[0]] * 100000, "1", 1),
+    ],
+    ids=["whole_20^6", "proper_2^100000"],
+)
+def test_box_number_of_a_suit_needs_no_budget(tmp_path, dims, box, box_number, point_count):
+    (tmp_path / "suit.json").write_text(json.dumps(suit(dims, box)))
+    code, doc = cli(tmp_path, "boxnum", "suit.json")
+    assert code == 0, doc
+    assert (doc["box_number"], doc["integral"], doc["point_count"]) == (
+        box_number, True, point_count
+    )
+
+
+def test_a_number_too_long_to_print_is_an_input_error(tmp_path):
+    # box number and point count of the whole of 2^15000 are both 2^15000,
+    # more digits than int-to-text conversion allows
+    (tmp_path / "suit.json").write_text(json.dumps(suit([2] * 15000, [[0, 1]] * 15000)))
+    code, doc = cli(tmp_path, "boxnum", "suit.json")
+    assert code == 2 and doc["error"]["code"] == "InputError", doc
+    assert "15001-bit" in doc["error"]["detail"]
 
 
 def test_larger_budget_admits_larger_generation(tmp_path):

@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import random
 from pathlib import Path
 
 import pytest
+from generate import random_proper_suit, random_space
+from polybox import Box, box_number, hat_cardinality, simple_suit, union_points
 from polybox import words as kernel
 from polybox.cli import main
 from polybox.errors import (
@@ -13,6 +16,8 @@ from polybox.errors import (
     NoWitness,
     TheoremViolation,
 )
+from polybox.serialize import serialize_suit
+from polybox.suits import verify_suit
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -55,6 +60,31 @@ class TestBoxnum:
         code, doc = run_json(capsys, "boxnum", fx("suit_x.json"))
         assert code == 0
         assert doc["box_number"] == "4" and doc["integral"]
+
+    def test_suit_route_matches_the_point_union(self, capsys, monkeypatch):
+        # the suit route adds up closed forms and box sizes; the reference
+        # lists the union and counts its fingerprint.  Improper suits are
+        # random parts of simple suits of boxes with full factors.
+        rng = random.Random(2303)
+        suits = [random_proper_suit(random_space(rng), rng) for _ in range(600)]
+        for _ in range(200):
+            space = random_space(rng)
+            factors = [rng.choice((rng.randrange(1, full), full))
+                       for full in space.full_masks]
+            i = rng.randrange(space.d)
+            factors[i] = space.full_masks[i]
+            boxes = simple_suit(Box(space, tuple(factors)))
+            suits.append(verify_suit(rng.sample(boxes, rng.randint(1, len(boxes)))))
+        assert sum(not s.is_proper for s in suits) == 200
+        for s in suits:
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(serialize_suit(s))))
+            code, doc = run_json(capsys, "boxnum")
+            points = union_points(s)
+            want = box_number(points)
+            assert hat_cardinality(s) == hat_cardinality(points)
+            assert (code, doc["box_number"], doc["integral"], doc["point_count"]) == (
+                0, str(want), want.denominator == 1, len(points)
+            )
 
     def test_explicit_points(self, capsys):
         code, doc = run_json(capsys, "boxnum", fx("points_line.json"))

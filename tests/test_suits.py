@@ -21,15 +21,23 @@ from polybox import (
     union_points,
     verify_suit,
 )
+from polybox.boxes import is_dichotomous
 from polybox.errors import (
     BudgetExceeded,
     NotAPartition,
     NotDichotomous,
     NotProper,
+    SpaceMismatch,
     UnionsOverlap,
 )
 from polybox.oracle import enumerate_min_partitions, exhaustive_min_partition
-from generate import all_suit_unions, random_proper_suit, random_suit_for_space
+from generate import (
+    all_suit_unions,
+    mutate_suit,
+    random_proper_suit,
+    random_space,
+    random_suit_for_space,
+)
 
 from conftest import boxes, spaces
 from helpers import brute_hat
@@ -214,6 +222,28 @@ class TestMinimalPartition:
             is_minimal_partition([bx([3], {0, 1}), bx([3], {1})], g)
 
 
+def strongly_disjoint_on_points(f, g):
+    """The point-union decision strongly_disjoint replaced: the reference."""
+    if f.space != g.space:
+        raise SpaceMismatch("suits live in different spaces")
+    for s in (f, g):
+        for i, b in enumerate(s.boxes):
+            if not b.is_proper:
+                raise NotProper(i)
+    fp = union_points(f)
+    gp = union_points(g)
+    if fp.members & gp.members:
+        raise UnionsOverlap("the suit unions share points")
+    return all(is_dichotomous(a, b) for a in f.boxes for b in g.boxes)
+
+
+def verdict(fn, f, g):
+    try:
+        return fn(f, g)
+    except (SpaceMismatch, NotProper, UnionsOverlap) as exc:
+        return type(exc).__name__, getattr(exc, "index", None)
+
+
 class TestStronglyDisjoint:
     def test_twin_singletons(self):
         f = verify_suit([bx([3, 3], {0}, {0})])
@@ -245,11 +275,49 @@ class TestStronglyDisjoint:
             f = verify_suit(boxes[:k])
             g = verify_suit(boxes[k:])
             assert strongly_disjoint(f, g)
-            from generate import mutate_suit
-
             f2 = mutate_suit(f, rng)
             g2 = mutate_suit(g, rng)
             assert strongly_disjoint(f2, g2)
+
+    def test_box_pairs_match_point_unions(self):
+        # g is the rest of f's suit for the space or part of another one, so
+        # all three verdicts come up: strongly disjoint, disjoint but not
+        # dichotomous, and overlapping unions
+        rng = random.Random(2311)
+        seen = {}
+        for _ in range(1500):
+            space = random_space(rng, max_d=3, dim_choices=(2, 3, 4))
+            a = rng.sample(random_suit_for_space(space, rng).boxes, 1 << space.d)
+            k = rng.randint(1, len(a) - 1)
+            f = verify_suit(a[:k])
+            if rng.random() < 0.4:
+                g = verify_suit(a[k:])
+            else:
+                b = random_suit_for_space(space, rng).boxes
+                g = verify_suit(rng.sample(b, rng.randint(1, len(b))))
+            if rng.random() < 0.3:
+                f, g = mutate_suit(f, rng), mutate_suit(g, rng)
+            want = verdict(strongly_disjoint_on_points, f, g)
+            assert verdict(strongly_disjoint, f, g) == want
+            seen[want] = seen.get(want, 0) + 1
+        assert seen.keys() == {True, False, ("UnionsOverlap", None)}
+        assert min(seen.values()) >= 10, seen
+
+    def test_errors_come_in_order(self):
+        # spaces, then properness of f, then of g, then overlap
+        proper = bx([3, 3], {0}, {0})
+        f = verify_suit([proper, bx([3, 3], {0, 1, 2}, {1, 2})])
+        g = verify_suit([bx([3, 3], {0, 1, 2}, {0})])  # meets proper
+        other = verify_suit([bx([3, 4], {0, 1, 2}, {0})])
+        cases = [
+            (f, other, ("SpaceMismatch", None)),
+            (f, g, ("NotProper", 1)),
+            (verify_suit([proper]), g, ("NotProper", 0)),
+            (verify_suit([proper]), verify_suit([proper]), ("UnionsOverlap", None)),
+        ]
+        for f, g, want in cases:
+            assert verdict(strongly_disjoint, f, g) == want
+            assert verdict(strongly_disjoint_on_points, f, g) == want
 
 
 class TestKrakow:
