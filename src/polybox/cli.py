@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -268,6 +269,7 @@ def _default_budget() -> int:
         raise InputError(f"POLYBOX_BUDGET must be an integer, got {raw!r}")
 
 
+@cache  # parsing leaves the parser as it was, so a process builds it once
 def _build_parser() -> argparse.ArgumentParser:
     # Global flags, on the main parser and every subparser, set nothing
     # unless given (main supplies the defaults), so either side may hold them.

@@ -13,7 +13,7 @@ import itertools
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import and_, getitem, ne
+from operator import and_, getitem, ne, or_
 from typing import Iterator, Optional, Sequence, Union
 
 from . import words as kernel
@@ -87,9 +87,7 @@ class Suit(Frozen):
 def verify_suit(boxes: Sequence[Box], require_proper: bool = False) -> Suit:
     """Validate a box list as a suit; optionally insist on proper members."""
     boxes = tuple(boxes)
-    if not boxes:
-        raise ValueError("a suit needs at least one box")
-    suit = Suit(boxes[0].space, boxes)
+    suit = Suit(boxes[0].space if boxes else None, boxes)  # Suit refuses ()
     if require_proper:
         for i, b in enumerate(suit.boxes):
             if not b.is_proper:
@@ -187,16 +185,25 @@ def box_number(g: Union[PointSet, Box]) -> Fraction:
     return Fraction(hat_cardinality(g), 1 << (space.size_sum - 2 * space.d))
 
 
+def _complement_hits(chosen: Sequence[tuple], full: tuple) -> list[list[int]]:
+    """hit[i][m]: the bitset of the chosen boxes whose factor i is m's complement."""
+    hit = [[0] * (f + 1) for f in full]
+    for k, b in enumerate(chosen):
+        for h, y, f in zip(hit, b, full):
+            h[y ^ f] |= 1 << k
+    return hit
+
+
 def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
     """A partition of g into at most `size` proper boxes, or None; exact
     only at size = |g|_0, the one size `proper_suit_for` asks for.
 
     Every partition of g into proper boxes has at least |g|_0 members, and
     exactly |g|_0 iff it is a suit (fingerprint parities add, and proper
-    boxes have disjoint fingerprints iff dichotomous).  So a candidate not
-    dichotomous to a box already chosen is cut: the suit prune.  Point sets
-    are bitsets over g's sorted points; the anchor is the least uncovered
-    point, and its proper boxes are tried in mask-lexicographic order.
+    boxes have disjoint fingerprints iff dichotomous).  So a candidate is cut
+    unless its masks' `_complement_hits` OR to every box chosen: the suit
+    prune.  Point sets are bitsets over g's sorted points; the anchor is the
+    least uncovered point, its proper boxes tried in mask-lexicographic order.
     """
     space = g.space
     require_budget(space.size_sum, "partition search needs |X|_1")
@@ -212,8 +219,9 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
             return False
         anchor = pts[(rem & -rem).bit_length() - 1]
         opts = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
+        hit, everyone = _complement_hits(out, full), (1 << len(out)) - 1
         for masks in itertools.product(*opts):
-            if not all(kernel.dichotomous(masks, b, full) for b in out):
+            if reduce(or_, map(getitem, hit, masks)) != everyone:
                 continue
             box = reduce(and_, map(getitem, tables, masks), rem)
             if box.bit_count() == math.prod(map(int.bit_count, masks)):

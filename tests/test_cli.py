@@ -9,7 +9,7 @@ import pytest
 from generate import random_proper_suit, random_space
 from polybox import Box, box_number, hat_cardinality, simple_suit, union_points
 from polybox import words as kernel
-from polybox.cli import main
+from polybox.cli import _build_parser, main
 from polybox.errors import (
     CriteriaDisagree,
     GSumExceeds2d,
@@ -584,6 +584,26 @@ class TestArgumentAndFaultReports:
             main(["equiv", "--help"])
         assert info.value.code == 0
         assert "--method" in capsys.readouterr().out
+
+    def test_one_parser_serves_every_call_of_a_process(self, capsys, monkeypatch):
+        # a usage error, a valid command and --help in turn, all through the
+        # one cached parser, each answering as it would alone
+        monkeypatch.chdir(FIX)
+        monkeypatch.delenv("POLYBOX_BUDGET", raising=False)
+        argv = ["equiv", "--a", "suit_x.json", "--b", "suit_x2.json", "--format", "json"]
+        pinned = next(
+            case for case in json.loads((FIX / "cli_matrix.json").read_text())
+            if case["argv"] == argv
+        )
+        _build_parser.cache_clear()
+        code, doc = run_json(capsys, "equiv", "--b", "suit_x2.json")
+        assert code == 2 and doc["error"]["code"] == "InputError"
+        assert run(capsys, *argv) == (pinned["code"], pinned["stdout"])
+        with pytest.raises(SystemExit) as info:
+            main(["equiv", "--help"])
+        assert info.value.code == 0
+        assert "--method" in capsys.readouterr().out
+        assert _build_parser.cache_info().misses == 1
 
     @pytest.mark.parametrize("command, a, b", [
         ("equiv", "suit_x.json", "suit_x2.json"),

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import getitem, or_
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from polybox import (
     union_points,
     verify_suit,
 )
+from polybox import words as kernel
 from polybox.boxes import is_dichotomous
 from polybox.errors import (
     BudgetExceeded,
@@ -31,6 +35,7 @@ from polybox.errors import (
     UnionsOverlap,
 )
 from polybox.oracle import enumerate_min_partitions, exhaustive_min_partition
+from polybox.suits import _complement_hits
 from generate import (
     all_suit_unions,
     mutate_suit,
@@ -346,6 +351,34 @@ def masks(parts):
     return [b.factors for b in parts]
 
 
+class TestSuitPrune:
+    """The search's suit prune, one OR of `_complement_hits` bitsets, against
+    the pairwise dichotomy test it replaced, kept here as the reference."""
+
+    def test_matches_pairwise_dichotomy(self):
+        rng = random.Random(2417)
+        verdicts = Counter()
+        for _ in range(3000):
+            space = BoxSpace(tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 4))))
+            full = space.full_masks
+            k = rng.choice((0, 1, rng.randint(2, 8)))
+            if rng.random() < 0.5:
+                # some chosen boxes not dichotomous among themselves
+                chosen = [tuple(map(rng.randrange, [1] * space.d, full)) for _ in range(k)]
+                candidate = tuple(map(rng.randrange, [1] * space.d, full))
+            else:
+                # leaves of one suit, as the search chooses them
+                leaves = [b.factors for b in random_suit_for_space(space, rng).boxes]
+                rng.shuffle(leaves)
+                chosen, candidate = leaves[:k], leaves[-1]
+            hit = _complement_hits(chosen, full)
+            fast = reduce(or_, map(getitem, hit, candidate)) == (1 << len(chosen)) - 1
+            slow = all(kernel.dichotomous(candidate, b, full) for b in chosen)
+            assert fast == slow, (space.dims, chosen, candidate)
+            verdicts[len(chosen) > 1, fast] += 1
+        assert min(verdicts.values()) > 100 and len(verdicts) == 4
+
+
 class TestSearchMatchesOracle:
     """proper_suit_for returns the oracle's first minimal partition: both
     branch on the least uncovered point, try its proper boxes in
@@ -400,8 +433,10 @@ def _sub_suit_union(dims, k, rng):
 
 class TestReferenceInstances:
     """Polyboxes that took two seconds or more each in the Box-building
-    search.  The 6-box one still takes seconds: the suit prune alone leaves
-    random 6-box unions in 4^4 a long tail of backtracking."""
+    search.  The 6-box one still takes over a second on a 2-CPU machine
+    (3.7 s with one dichotomy test per chosen box, 1.6 s with the hit-table
+    prune): the suit prune alone leaves random 6-box unions in 4^4 a long
+    tail of backtracking."""
 
     @pytest.mark.parametrize(
         "build",
