@@ -53,7 +53,6 @@ from .indices import (
     polybox_equal_by_index,
     suit_index,
 )
-from .oracle import points_equal
 from .suits import Suit, box_number, hat_cardinality, verify_suit
 from .tilings import (
     chessboard_check,
@@ -119,6 +118,7 @@ def _cmd_canon(args) -> tuple[int, dict]:
 
 
 def _cmd_equiv(args) -> tuple[int, dict]:
+    from .oracle import points_equal  # only equiv loads the point oracle
     f = _load_suit(args.a, require_proper=True)
     g = _load_suit(args.b, require_proper=True)
     if args.method == "all":

@@ -9,11 +9,10 @@ exactly when it is a suit.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import and_, getitem, ne, or_
+from operator import and_, getitem, ne
 from typing import Iterator, Optional, Sequence, Union
 
 from . import words as kernel
@@ -179,19 +178,11 @@ def hat_cardinality(g: Union[PointSet, Box, Suit]) -> int:
     return _hat_of_points(g)
 
 
-def box_number(g: Union[PointSet, Box]) -> Fraction:
-    """|G|_0, exact; integral for every polybox but not in general."""
+def box_number(g: Union[PointSet, Box, Suit]) -> Fraction:
+    """|G|_0 of a point set, a box or a suit's union (by hat_cardinality),
+    exact; integral for every polybox but not in general."""
     space = g.space
     return Fraction(hat_cardinality(g), 1 << (space.size_sum - 2 * space.d))
-
-
-def _complement_hits(chosen: Sequence[tuple], full: tuple) -> list[list[int]]:
-    """hit[i][m]: the bitset of the chosen boxes whose factor i is m's complement."""
-    hit = [[0] * (f + 1) for f in full]
-    for k, b in enumerate(chosen):
-        for h, y, f in zip(hit, b, full):
-            h[y ^ f] |= 1 << k
-    return hit
 
 
 def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
@@ -200,10 +191,10 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
 
     Every partition of g into proper boxes has at least |g|_0 members, and
     exactly |g|_0 iff it is a suit (fingerprint parities add, and proper
-    boxes have disjoint fingerprints iff dichotomous).  So a candidate is cut
-    unless its masks' `_complement_hits` OR to every box chosen: the suit
-    prune.  Point sets are bitsets over g's sorted points; the anchor is the
-    least uncovered point, its proper boxes tried in mask-lexicographic order.
+    boxes have disjoint fingerprints iff dichotomous).  So a node tries, in
+    mask-lexicographic order, only the proper boxes through the anchor (the
+    least uncovered point) dichotomous to every box chosen, as listed by
+    `words._hitting`.  Point sets are bitsets over g's sorted points.
     """
     space = g.space
     require_budget(space.size_sum, "partition search needs |X|_1")
@@ -219,10 +210,7 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
             return False
         anchor = pts[(rem & -rem).bit_length() - 1]
         opts = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
-        hit, everyone = _complement_hits(out, full), (1 << len(out)) - 1
-        for masks in itertools.product(*opts):
-            if reduce(or_, map(getitem, hit, masks)) != everyone:
-                continue
+        for masks in kernel._hitting(opts, out, full, kernel._hits(out, full)):
             box = reduce(and_, map(getitem, tables, masks), rem)
             if box.bit_count() == math.prod(map(int.bit_count, masks)):
                 out.append(masks)

@@ -276,19 +276,47 @@ def index(u: Sequence[int], words: Sequence[Sequence[int]], flip: Word) -> int:
     return total
 
 
+def _hitting(
+    allowed: Sequence[Collection[int]], members: Sequence[Word], flip: Word, hit: list
+) -> list[Word]:
+    """Every word over the per-position allowed letters dichotomous to every
+    member, in lexicographic order; hit is _hits(members, flip).  Branches on
+    the lowest member no chosen letter is complementary to yet: some free
+    position must take the complement of its letter, and each earlier
+    branch's letter is banned at its position in the later ones, so every
+    word is found once."""
+    if not members:
+        return list(itertools.product(*map(sorted, allowed)))
+    found: list[Word] = []
+    complements = [tuple(map(xor, w, flip)) for w in members]
+
+    def rec(unhit: int, allowed: list[Collection[int]]) -> None:
+        if not unhit:
+            found.extend(itertools.product(*allowed))
+            return
+        allowed = list(allowed)
+        for j, y in enumerate(complements[(unhit & -unhit).bit_length() - 1]):
+            rest = allowed[j]
+            # y hits every member it can at j, so no deeper branch bans from (y,)
+            if y in rest:
+                allowed[j] = (y,)
+                rec(unhit & ~hit[j][y], allowed)
+                allowed[j] = rest - {y}
+
+    rec((1 << len(members)) - 1, list(map(frozenset, allowed)))
+    found.sort()
+    return found
+
+
 def complete(members: Sequence[Word], flip: Word) -> list[Word]:
     """The words completing members to 2^d pairwise dichotomous words (d >= 1).
 
-    Finds, in lexicographic order, every word whose letter at each position
-    occurs there among the members or is the complement of one and which is
-    dichotomous to every member.  The search branches on the lowest member
-    no chosen letter is complementary to yet: some free position must take
-    the complement of its letter, and each earlier branch's letter is banned
-    at its position in the later ones, so every word is found once.  Raises
-    Incomplete or NotUnique unless the words found are exactly the missing
-    ones and pairwise dichotomous with the members; as each word found hits
-    every member, that checks the members through the hit tables and the
-    words found among themselves.
+    Finds, through _hitting, every word whose letter at each position occurs
+    there among the members or is the complement of one and which is
+    dichotomous to every member.  Raises Incomplete or NotUnique unless the
+    words found are exactly the missing ones and pairwise dichotomous with
+    the members; as each word found hits every member, that checks the
+    members through the hit tables and the words found among themselves.
     """
     return _complete(members, flip, None)
 
@@ -306,24 +334,7 @@ def _complete(members: Sequence[Word], flip: Word, checked: Optional[list]) -> l
     bits = max(2 * d, (prefixes - 1).bit_length())
     require_budget(bits, "completion needs log2 max(4^d, prefixes)")
 
-    found: list[Word] = []
-    complements = [tuple(map(xor, w, flip)) for w in members]
-
-    def rec(unhit: int, allowed: list[Collection[int]]) -> None:
-        if not unhit:
-            found.extend(itertools.product(*allowed))
-            return
-        allowed = list(allowed)
-        for j, y in enumerate(complements[(unhit & -unhit).bit_length() - 1]):
-            rest = allowed[j]
-            # y hits every member it can at j, so no deeper branch bans from (y,)
-            if y in rest:
-                allowed[j] = (y,)
-                rec(unhit & ~hit[j][y], allowed)
-                allowed[j] = rest - {y}
-
-    rec((1 << m) - 1, list(map(frozenset, hit)))
-    found.sort()
+    found = _hitting(hit, members, flip, hit)  # a table holds its letters as keys
 
     missing = (1 << d) - m
     if len(found) < missing:

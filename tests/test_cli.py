@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ from polybox.serialize import serialize_suit
 from polybox.suits import verify_suit
 
 FIX = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -140,6 +144,33 @@ class TestCanonAndEquiv:
         assert doc["error"] == {
             "code": "SpaceMismatch", "detail": "suits live in different spaces"
         }
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["boxnum", "suit_x.json"], False),
+        (["canon", "suit_x.json"], False),
+        (["tiling-verify", "tiling_d2.json"], False),
+        (["equiv", "--a", "suit_x.json", "--b", "suit_x2.json"], True),
+    ], ids=["boxnum", "canon", "tiling-verify", "equiv"])
+    def test_only_equiv_imports_the_oracle(self, argv, loaded):
+        # one `python -m polybox.cli` process, run through runpy as the
+        # benchmark's document workload runs it
+        code = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('polybox.cli', run_name='__main__', alter_sys=True)\n"
+            "finally:\n"
+            "    sys.stderr.write(str('polybox.oracle' in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+        ))
+        argv = [fx(a) if a.endswith(".json") else a for a in argv]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *argv],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == str(loaded)
 
     def test_all_methods_glue_each_side_once(self, capsys, monkeypatch):
         # canon and index share one cancellation and one glue per suit pair

@@ -3,8 +3,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import reduce
-from operator import getitem, or_
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +34,6 @@ from polybox.errors import (
     UnionsOverlap,
 )
 from polybox.oracle import enumerate_min_partitions, exhaustive_min_partition
-from polybox.suits import _complement_hits
 from generate import (
     all_suit_unions,
     mutate_suit,
@@ -352,31 +350,56 @@ def masks(parts):
 
 
 class TestSuitPrune:
-    """The search's suit prune, one OR of `_complement_hits` bitsets, against
-    the pairwise dichotomy test it replaced, kept here as the reference."""
+    """The search's candidates, listed by `words._hitting`, against the
+    filtered product of masks it replaced, kept here as the reference."""
 
     def test_matches_pairwise_dichotomy(self):
         rng = random.Random(2417)
-        verdicts = Counter()
+        classes = Counter()
         for _ in range(3000):
             space = BoxSpace(tuple(rng.randint(2, 4) for _ in range(rng.randint(1, 4))))
             full = space.full_masks
+            anchor = [rng.randrange(n) for n in space.dims]
+            opts = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
             k = rng.choice((0, 1, rng.randint(2, 8)))
             if rng.random() < 0.5:
                 # some chosen boxes not dichotomous among themselves
                 chosen = [tuple(map(rng.randrange, [1] * space.d, full)) for _ in range(k)]
-                candidate = tuple(map(rng.randrange, [1] * space.d, full))
             else:
                 # leaves of one suit, as the search chooses them
-                leaves = [b.factors for b in random_suit_for_space(space, rng).boxes]
-                rng.shuffle(leaves)
-                chosen, candidate = leaves[:k], leaves[-1]
-            hit = _complement_hits(chosen, full)
-            fast = reduce(or_, map(getitem, hit, candidate)) == (1 << len(chosen)) - 1
-            slow = all(kernel.dichotomous(candidate, b, full) for b in chosen)
-            assert fast == slow, (space.dims, chosen, candidate)
-            verdicts[len(chosen) > 1, fast] += 1
-        assert min(verdicts.values()) > 100 and len(verdicts) == 4
+                chosen = [b.factors for b in random_suit_for_space(space, rng).boxes]
+                rng.shuffle(chosen)
+                del chosen[k:]
+            slow = [
+                c for c in product(*opts)
+                if all(kernel.dichotomous(c, b, full) for b in chosen)
+            ]
+            fast = kernel._hitting(opts, chosen, full, kernel._hits(chosen, full))
+            assert fast == slow, (space.dims, anchor, chosen)
+            classes[len(chosen) > 1, bool(fast)] += 1
+        assert min(classes.values()) > 100 and len(classes) == 4
+
+    def test_letter_words_match_brute_force(self):
+        # genome letters: pair k is 2k+3 (positive) and 2k+2, flip 1
+        rng = random.Random(2418)
+        classes = Counter()
+        for _ in range(3000):
+            d = rng.randint(1, 4)
+            flip = (1,) * d
+            letters = range(2, 2 * rng.randint(1, 3) + 2)
+            # unsorted, so the order of the result is the generator's own
+            allowed = [rng.sample(letters, rng.randint(0, len(letters))) for _ in flip]
+            members = [
+                tuple(rng.choice(letters) for _ in flip) for _ in range(rng.randint(0, 6))
+            ]
+            slow = [
+                w for w in product(*map(sorted, allowed))
+                if all(kernel.dichotomous(w, v, flip) for v in members)
+            ]
+            fast = kernel._hitting(allowed, members, flip, kernel._hits(members, flip))
+            assert fast == slow, (allowed, members)
+            classes[len(members) > 1, bool(fast)] += 1
+        assert min(classes.values()) > 100 and len(classes) == 4
 
 
 class TestSearchMatchesOracle:
@@ -431,12 +454,16 @@ def _sub_suit_union(dims, k, rng):
     return union_points(verify_suit(rng.sample(boxes, k)))
 
 
+# Seeded 6-box unions in 4^4, the search's tail; seed 6 takes about 4 s.
+TAIL_SEEDS = (1, 2, 3, 4, 5, 7, 8)
+
+
 class TestReferenceInstances:
     """Polyboxes that took two seconds or more each in the Box-building
-    search.  The 6-box one still takes over a second on a 2-CPU machine
-    (3.7 s with one dichotomy test per chosen box, 1.6 s with the hit-table
-    prune): the suit prune alone leaves random 6-box unions in 4^4 a long
-    tail of backtracking."""
+    search, and the seeded 6-box unions in 4^4 that make the search's tail.
+    Listing only the boxes dichotomous to every chosen box took those seven
+    from about 11 s together to under 1 s on a 2-CPU machine (seed 3: 6.5 to
+    0.3 s)."""
 
     @pytest.mark.parametrize(
         "build",
@@ -446,11 +473,14 @@ class TestReferenceInstances:
             lambda rng: _sub_suit_union((4, 4, 4), 4, rng),
             lambda rng: PointSet.full(BoxSpace((4, 4, 4, 4))),
             lambda rng: _sub_suit_union((4, 4, 4, 4), 6, rng),
+        ] + [
+            lambda rng, s=s: _sub_suit_union((4, 4, 4, 4), 6, random.Random(s))
+            for s in TAIL_SEEDS
         ],
         ids=[
             "whole-3x3x3", "25-points-3x3x3", "4-boxes-4x4x4",
             "whole-4^4", "6-boxes-4^4",
-        ],
+        ] + [f"6-boxes-4^4-seed-{s}" for s in TAIL_SEEDS],
     )
     def test_recognized_with_a_minimal_suit(self, build, rng):
         g = build(rng)
