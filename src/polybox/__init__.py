@@ -65,7 +65,6 @@ from .tilings import (
     generate_two_extremal,
     is_two_extremal,
     reconstruct,
-    tiling_genome,
     tiling_verify,
 )
 

@@ -1,4 +1,4 @@
-"""JSON document schemas: parse and serialize every CLI payload kind.
+"""JSON document schemas: parse every CLI input kind, serialize every output.
 
 Subsets are sorted index arrays, rationals are reduced fraction strings, and
 serialization is canonical (sorted keys, fixed separators), so identical
@@ -17,7 +17,7 @@ from .boxes import Box, BoxSpace, members_of
 from .canon import CanonicalForm
 from .errors import InputError, PolyboxError
 from .genomes import Alphabet, GenomeSet, WordCanonicalForm
-from .suits import PointSet, Suit
+from .suits import PointSet
 from .tilings import Cube, TorusTiling
 
 VERSION = "1"
@@ -103,17 +103,6 @@ def parse_suit(obj: dict) -> tuple[BoxSpace, list[Box]]:
     return space, [_box(space, b, f"box {k}") for k, b in enumerate(raw)]
 
 
-def serialize_suit(s: Suit) -> dict:
-    return {
-        "kind": "suit",
-        "version": VERSION,
-        "dims": list(s.space.dims),
-        "boxes": [
-            [list(members_of(m)) for m in box.factors] for box in s.boxes
-        ],
-    }
-
-
 def parse_points(obj: dict) -> PointSet:
     check_envelope(obj, "points")
     space = _dims(obj)
@@ -132,15 +121,6 @@ def parse_points(obj: dict) -> PointSet:
     if len(ps) != len(pts):
         raise InputError("points must not repeat")
     return ps
-
-
-def serialize_points(ps: PointSet) -> dict:
-    return {
-        "kind": "points",
-        "version": VERSION,
-        "dims": list(ps.space.dims),
-        "points": [list(p) for p in sorted(ps.members)],
-    }
 
 
 def parse_point_source(obj: dict) -> tuple[str, Any]:
@@ -258,15 +238,6 @@ def printable(x: int | Fraction) -> int | Fraction:
 def cube_rows(cubes: Sequence[Cube]) -> list[list[str]]:
     """Each cube's coordinates as reduced fraction strings."""
     return [[str(printable(x)) for x in c] for c in cubes]
-
-
-def serialize_cubes(d: int, cubes: Sequence[Cube]) -> dict:
-    return {
-        "kind": "tiling",
-        "version": VERSION,
-        "d": d,
-        "cubes": cube_rows(cubes),
-    }
 
 
 def serialize_canonical_form(cf: CanonicalForm) -> dict:

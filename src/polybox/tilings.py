@@ -27,7 +27,6 @@ from .errors import (
     WrongCount,
     require_budget,
 )
-from .genomes import Alphabet, GenomeSet
 
 Cube = tuple[Fraction, ...]
 Word = tuple[int, ...]
@@ -154,13 +153,6 @@ def tiling_verify(cubes: Sequence[Sequence]) -> TorusTiling:
     if not rows:
         raise WrongCount("no cubes given")
     return TorusTiling(len(rows[0]), tuple(rows))
-
-
-def tiling_genome(t: TorusTiling) -> GenomeSet:
-    """The tiling's word set over the alphabet of occurring coordinate values."""
-    values = sorted({x % 1 for c in t.cubes for x in c})
-    alphabet = Alphabet(tuple((str(v), str(v + 1)) for v in values))
-    return GenomeSet(alphabet, t.d, tuple(tuple(map(str, c)) for c in t.cubes))
 
 
 class ExtremalityResult(NamedTuple):

@@ -84,19 +84,6 @@ def twin_at(v: Sequence[int], w: Sequence[int], flip: Word) -> Optional[int]:
     return at
 
 
-def twin_pairs(
-    words: Sequence[Sequence[int]], flip: Word
-) -> list[tuple[int, int, int]]:
-    """(i, j, position) for every twin pair i < j, in lexicographic order."""
-    out = []
-    for i, v in enumerate(words):
-        for j in range(i + 1, len(words)):
-            at = twin_at(v, words[j], flip)
-            if at is not None:
-                out.append((i, j, at))
-    return out
-
-
 def epsilon(
     v: Sequence[int], w: Sequence[int], flip: Word
 ) -> Optional[tuple[int, ...]]:

@@ -13,12 +13,12 @@ import itertools
 import random
 import string
 from operator import xor
-from typing import Optional
+from typing import Optional, Sequence
 
-from polybox import words as kernel
 from polybox.boxes import Box, BoxSpace, is_dichotomous
 from polybox.genomes import Alphabet, GenomeSet, Word
 from polybox.suits import Suit, verify_suit
+from polybox.words import twin_at
 
 
 def random_space(
@@ -89,6 +89,19 @@ def all_suit_unions(space: BoxSpace, max_size: int) -> list[frozenset]:
     return list(unions)
 
 
+def twin_pairs(
+    words: Sequence[Sequence[int]], flip: tuple[int, ...]
+) -> list[tuple[int, int, int]]:
+    """(i, j, position) for every twin pair i < j, in lexicographic order."""
+    out = []
+    for i, v in enumerate(words):
+        for j in range(i + 1, len(words)):
+            at = twin_at(v, words[j], flip)
+            if at is not None:
+                out.append((i, j, at))
+    return out
+
+
 def _resplit(
     words, flip, rng: random.Random, moves: int, draw
 ) -> list[tuple[int, ...]]:
@@ -97,7 +110,7 @@ def _resplit(
     are unchanged."""
     words = [list(w) for w in words]
     for _ in range(moves):
-        twins = kernel.twin_pairs(words, flip)
+        twins = twin_pairs(words, flip)
         if not twins:
             break
         i, j, c = rng.choice(twins)

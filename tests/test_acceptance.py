@@ -51,15 +51,19 @@ from generate import (
     random_suit_for_space,
     random_word,
 )
-from polybox.oracle import (
+from polybox.oracle import points_equal
+from polybox import serialize as ser
+
+from helpers import (
     e_realization_covers,
     enumerate_min_partitions,
     exhaustive_min_partition,
-    points_equal,
+    n_plus_minus,
+    serialize_cubes,
+    serialize_points,
+    serialize_suit,
+    signed_class_sum,
 )
-from polybox import serialize as ser
-
-from helpers import n_plus_minus, signed_class_sum
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -345,14 +349,14 @@ def test_criterion_11_cli_determinism(capsys):
     for name in ("suit_x.json", "suit_x2.json", "suit_small.json"):
         doc = ser.loads((FIX / name).read_text())
         space, boxes = ser.parse_suit(doc)
-        assert ser.serialize_suit(verify_suit(boxes)) == doc
+        assert serialize_suit(verify_suit(boxes)) == doc
     for name in ("genome_class.json", "genome_swapped.json", "genome_plus.json"):
         doc = ser.loads((FIX / name).read_text())
         assert ser.serialize_genome(ser.parse_genome(doc)) == doc
     doc = ser.loads((FIX / "points_line.json").read_text())
-    assert ser.serialize_points(ser.parse_points(doc)) == doc
+    assert serialize_points(ser.parse_points(doc)) == doc
     doc = ser.loads((FIX / "tiling_d2.json").read_text())
-    assert ser.serialize_cubes(2, ser.parse_tiling(doc).cubes) == doc
+    assert serialize_cubes(2, ser.parse_tiling(doc).cubes) == doc
     doc = ser.loads((FIX / "tiling_plus_d2.json").read_text())
-    assert ser.serialize_cubes(2, ser.parse_cubes(doc)) == doc
+    assert serialize_cubes(2, ser.parse_cubes(doc)) == doc
     _ok(11, "CLI determinism and round-trip identity")

@@ -44,7 +44,7 @@ from polybox.genomes import (
     equivalent_by_index,
     genome_canonical,
 )
-from polybox.oracle import e_realization_covers_points
+from helpers import e_realization_covers_points
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 FIX = Path(__file__).parent / "fixtures"

@@ -30,6 +30,7 @@ from generate import (
     random_proper_suit,
     random_space,
     random_suit_for_space,
+    twin_pairs,
 )
 from polybox.oracle import points_equal
 
@@ -180,7 +181,7 @@ def with_improper_box(s, rng):
     at their twin position, or s itself without twins; the union stays."""
     flip = s.space.full_masks
     words = [a.factors for a in s.boxes]
-    twins = kernel.twin_pairs(words, flip)
+    twins = twin_pairs(words, flip)
     if not twins:
         return s
     i, j, c = rng.choice(twins)

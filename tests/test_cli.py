@@ -19,8 +19,8 @@ from polybox.errors import (
     NoWitness,
     TheoremViolation,
 )
-from polybox.serialize import serialize_suit
 from polybox.suits import verify_suit
+from helpers import serialize_suit
 
 FIX = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).resolve().parents[1] / "src"

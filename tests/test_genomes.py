@@ -38,7 +38,7 @@ from polybox.genomes import (
     equivalent_by_cover,
     words_dichotomous,
 )
-from polybox.oracle import (
+from helpers import (
     e_realization,
     e_realization_covers,
     e_realization_covers_points,

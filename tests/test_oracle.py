@@ -25,14 +25,14 @@ from polybox import (
 )
 from polybox.errors import BudgetExceeded, SpaceMismatch
 from generate import letter_names, random_proper_suit, random_suit_for_space
-from polybox.oracle import (
+from polybox.oracle import points_equal
+from helpers import (
     Realization,
     e_realization,
     e_realization_covers,
     e_realization_covers_points,
     enumerate_min_partitions,
     exhaustive_min_partition,
-    points_equal,
     random_exact_realization,
     selection_mask,
 )
@@ -202,9 +202,8 @@ class TestRealizations:
     def test_word_routes_match_the_realized_suit(self, rng):
         # An exact realization keeps letter pairs apart, so every word-layer
         # answer must equal the box-layer answer on the realized boxes.
-        from generate import random_alphabet, random_genome, random_word
+        from generate import random_alphabet, random_genome, random_word, twin_pairs
         from polybox.genomes import epsilon_between, words_dichotomous
-        from polybox.words import twin_pairs
 
         for _ in range(40):
             alphabet = random_alphabet(rng, max_pairs=3)
@@ -243,12 +242,35 @@ class TestRealizations:
             )
 
 
-def test_oracle_does_not_import_the_word_kernel():
-    # the oracle must share no decision route with the code it checks
-    tree = ast.parse(Path(polybox.oracle.__file__).read_text())
-    for node in ast.walk(tree):
+def imported_names(path):
+    """Every dotted part of every name that the module's imports name."""
+    for node in ast.walk(ast.parse(Path(path).read_text())):
         if isinstance(node, ast.Import):
-            assert all("words" not in a.name.split(".") for a in node.names)
+            names = [a.name for a in node.names]
         elif isinstance(node, ast.ImportFrom):
-            assert "words" not in (node.module or "").split(".")
-            assert all(a.name != "words" for a in node.names)
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            continue
+        for name in names:
+            yield from name.split(".")
+
+
+def test_oracle_does_not_import_the_word_kernel():
+    # the references must share no decision route with the code they check
+    for path in (polybox.oracle.__file__, Path(__file__).parent / "helpers.py"):
+        assert "words" not in set(imported_names(path)), path
+
+
+def test_the_package_ships_the_point_oracle_alone():
+    # the package imports no test module, and its oracle module holds the
+    # one reference that `equiv` runs; the others live in tests/helpers.py
+    package = Path(polybox.oracle.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert not {"helpers", "generate"} & set(imported_names(path)), path.name
+    tree = ast.parse(Path(polybox.oracle.__file__).read_text())
+    public = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    assert public == ["points_equal"]

@@ -13,12 +13,10 @@ from polybox.serialize import (
     parse_suit,
     parse_tiling,
     serialize_canonical_form,
-    serialize_cubes,
     serialize_genome,
-    serialize_points,
-    serialize_suit,
     serialize_word_canonical_form,
 )
+from helpers import serialize_cubes, serialize_points, serialize_suit
 from polybox import genome_canonical, generate_two_extremal
 
 S33 = BoxSpace((3, 3))

@@ -33,7 +33,6 @@ from polybox.errors import (
     SpaceMismatch,
     UnionsOverlap,
 )
-from polybox.oracle import enumerate_min_partitions, exhaustive_min_partition
 from generate import (
     all_suit_unions,
     mutate_suit,
@@ -43,7 +42,7 @@ from generate import (
 )
 
 from conftest import boxes, spaces
-from helpers import brute_hat
+from helpers import brute_hat, enumerate_min_partitions, exhaustive_min_partition
 
 
 def bx(dims, *sets):

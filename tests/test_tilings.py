@@ -21,7 +21,6 @@ from polybox import (
     generate_two_extremal,
     is_two_extremal,
     reconstruct,
-    tiling_genome,
     tiling_verify,
 )
 from polybox.errors import (
@@ -38,6 +37,7 @@ from polybox.tilings import (
     _intern,
     _shown,
 )
+from helpers import tiling_genome
 
 F = Fraction
 

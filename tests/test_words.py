@@ -36,6 +36,7 @@ from generate import (
     random_genome,
     random_proper_suit,
     random_suit_for_space,
+    twin_pairs,
 )
 from helpers import suit_union_set
 from polybox.genomes import Alphabet, equivalent_by_cover, equivalent_by_index
@@ -393,7 +394,7 @@ def regrouped(rng, words, flip, letters):
     holding the star."""
     out = list(words)
     used, dropped = set(), set()
-    for i, j, at in kernel.twin_pairs(words, flip):
+    for i, j, at in twin_pairs(words, flip):
         if used & {i, j}:
             continue
         used |= {i, j}
@@ -572,7 +573,7 @@ class TestSameExpansion:
                 pool.append(u[:i] + (u[i] ^ flip[i],) + u[i + 1:])
             words = [rng.choice(pool) for _ in range(rng.randint(0, 12))]
             glued = list(Counter(kernel._glue(words, flip)).elements())
-            assert not kernel.twin_pairs(glued, flip), (words, glued)
+            assert not twin_pairs(glued, flip), (words, glued)
             for stars in (False, True):
                 assert same_by_expanding(glued, words, flip, stars), (words, glued)
             shrunk += len(glued) < len(words)
@@ -638,7 +639,7 @@ class TestSameExpansion:
             )
         # twin-free sides with equal expansions still reach expand
         v, w, flip = [(1, 3), (3, 2)], [(3, 1), (2, 3)], (1, 1)
-        assert not kernel.twin_pairs(v, flip) and not kernel.twin_pairs(w, flip)
+        assert not twin_pairs(v, flip) and not twin_pairs(w, flip)
         for stars in (False, True):
             with pytest.raises(AssertionError, match="expanded"):
                 kernel.same_expansion(v, w, flip, stars)
