@@ -185,6 +185,47 @@ def box_number(g: Union[PointSet, Box, Suit]) -> Fraction:
     return Fraction(hat_cardinality(g), 1 << (space.size_sum - 2 * space.d))
 
 
+def _extent(table: list[int], bits: int) -> int:
+    """The mask of the coordinates whose slab in `table` meets `bits`."""
+    n = len(table).bit_length() - 1
+    return sum([1 << x for x in range(n) if table[1 << x] & bits])
+
+
+def _line_options(
+    tables: list[list[int]], full: tuple[int, ...], rem: int, anchor: Point
+) -> list[list[int]]:
+    """Per factor i, the proper masks holding the anchor's coordinate that
+    lie inside the anchor's uncovered line: the y for which the anchor with
+    y at i is still in rem.  A box through the anchor holds the anchor with
+    y at i for every y of its factor i, so a mask with a y off the line
+    fails the box test."""
+    slabs = [t[1 << x] for t, x in zip(tables, anchor)]
+    opts = []
+    for i, (x, f, t) in enumerate(zip(anchor, full, tables)):
+        line = _extent(t, reduce(and_, slabs[:i] + slabs[i + 1 :], rem))
+        opts.append([m for m in range(1, f) if m >> x & 1 and not m & ~line])
+    return opts
+
+
+def _last_box(
+    tables: list[list[int]],
+    full: tuple[int, ...],
+    rem: int,
+    chosen: Sequence[tuple[int, ...]],
+) -> Optional[tuple[int, ...]]:
+    """rem as one proper box dichotomous to every chosen box, or None.  Its
+    only candidate is rem's bounding box, which holds rem, so it is rem
+    exactly when it holds no more points than rem."""
+    masks = tuple(_extent(t, rem) for t in tables)
+    if (
+        all(map(ne, masks, full))
+        and rem.bit_count() == math.prod(map(int.bit_count, masks))
+        and all(kernel.dichotomous(masks, b, full) for b in chosen)
+    ):
+        return masks
+    return None
+
+
 def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
     """A partition of g into at most `size` proper boxes, or None; exact
     only at size = |g|_0, the one size `proper_suit_for` asks for.
@@ -195,6 +236,14 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
     mask-lexicographic order, only the proper boxes through the anchor (the
     least uncovered point) dichotomous to every box chosen, as listed by
     `words._hitting`.  Point sets are bitsets over g's sorted points.
+
+    Two prunes drop only boxes that cannot be in the partition, so the first
+    partition found stays the same.  The line filter offers, per factor,
+    only masks inside the anchor's uncovered line (`_line_options`): a box
+    with any other coordinate there holds a point outside rem, which the
+    box test rejects.  With one box left, that box must be the uncovered
+    points themselves, and only their bounding box can be; so the node tests
+    that box alone (`_last_box`) and lists no candidate.
     """
     space = g.space
     require_budget(space.size_sum, "partition search needs |X|_1")
@@ -208,8 +257,13 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
             return True
         if rem.bit_count() > left * max_box:
             return False
+        if left == 1:
+            last = _last_box(tables, full, rem, out)
+            if last is not None:
+                out.append(last)
+            return last is not None
         anchor = pts[(rem & -rem).bit_length() - 1]
-        opts = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
+        opts = _line_options(tables, full, rem, anchor)
         for masks in kernel._hitting(opts, out, full, kernel._hits(out, full)):
             box = reduce(and_, map(getitem, tables, masks), rem)
             if box.bit_count() == math.prod(map(int.bit_count, masks)):

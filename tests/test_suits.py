@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import and_, getitem
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +28,7 @@ from polybox import (
 )
 from polybox import words as kernel
 from polybox.boxes import is_dichotomous
+from polybox.suits import _last_box, _line_options, _point_tables, _proper_partition
 from polybox.errors import (
     BudgetExceeded,
     NotAPartition,
@@ -401,6 +405,145 @@ class TestSuitPrune:
         assert min(classes.values()) > 100 and len(classes) == 4
 
 
+def _fits(tables, rem, masks):
+    """The box test: the box lies inside rem."""
+    box = reduce(and_, map(getitem, tables, masks), rem)
+    return box.bit_count() == math.prod(map(int.bit_count, masks))
+
+
+def _search_state(rng, max_dim=4, max_d=4):
+    """A seeded (space, g, rem): g a random point set or the union of part of
+    a suit, rem a nonempty subset of g's points as a bitset over them."""
+    space = BoxSpace(tuple(rng.randint(2, max_dim) for _ in range(rng.randint(1, max_d))))
+    while True:
+        if rng.random() < 0.5:
+            density = rng.random()
+            members = frozenset(p for p in space.points() if rng.random() < density)
+        else:
+            boxes = random_suit_for_space(space, rng).boxes
+            part = verify_suit(rng.sample(boxes, rng.randint(1, len(boxes))))
+            members = union_points(part).members
+        if members:
+            break
+    g = PointSet(space, members)
+    n = len(members)
+    keep = rng.choice((1.0, rng.random()))
+    rem = sum(1 << k for k in range(n) if rng.random() < keep) or 1 << rng.randrange(n)
+    return space, g, rem
+
+
+class TestSearchPrunes:
+    """The line filter and the last-box shortcut of `_proper_partition`
+    against the routes they replaced, kept here as the references: the full
+    mask lists through the anchor, and the first `words._hitting` candidate
+    whose box is exactly the uncovered points."""
+
+    def test_line_filter_drops_only_boxes_that_fail(self):
+        rng = random.Random(2419)
+        classes = Counter()
+        for _ in range(600):
+            space, g, rem = _search_state(rng)
+            full = space.full_masks
+            pts, tables = _point_tables(g)
+            anchor = pts[(rem & -rem).bit_length() - 1]
+            old = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
+            new = _line_options(tables, full, rem, anchor)
+            # kept masks come from the old lists, in their order
+            assert all(n == [m for m in o if m in n] for o, n in zip(old, new))
+            # a mask is kept iff its box along the anchor's line passes
+            points = [1 << x for x in anchor]
+            for i, (o, n) in enumerate(zip(old, new)):
+                for m in o:
+                    line_box = points[:i] + [m] + points[i + 1 :]
+                    assert (m in n) == _fits(tables, rem, line_box)
+            # and every box with a dropped mask fails the box test
+            slow = [c for c in product(*old) if _fits(tables, rem, c)]
+            assert [c for c in product(*new) if _fits(tables, rem, c)] == slow
+            # the anchor alone always passes
+            classes[new != old, len(slow) > 1] += 1
+        assert min(classes.values()) > 50 and len(classes) == 4, classes
+
+    def test_last_box_is_the_first_candidate_equal_to_rem(self):
+        rng = random.Random(2420)
+        classes = Counter()
+        for _ in range(1500):
+            space, g, rem = _search_state(rng, max_dim=3)
+            full = space.full_masks
+            pts, tables = _point_tables(g)
+            if rng.random() < 0.5:
+                # rem is one box of a suit, the others in it chosen or not
+                boxes = [b.factors for b in random_suit_for_space(space, rng).boxes]
+                rng.shuffle(boxes)
+                target, chosen = boxes[0], boxes[1 : rng.randint(1, len(boxes))]
+                pts, tables = _point_tables(PointSet.full(space))
+                rem = reduce(and_, map(getitem, tables, target))
+            else:
+                k = rng.randint(0, 4)
+                chosen = [tuple(map(rng.randrange, [1] * space.d, full)) for _ in range(k)]
+            anchor = pts[(rem & -rem).bit_length() - 1]
+            old = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
+            want = next(
+                (
+                    c
+                    for c in kernel._hitting(old, chosen, full, kernel._hits(chosen, full))
+                    if _fits(tables, rem, c) and reduce(and_, map(getitem, tables, c)) == rem
+                ),
+                None,
+            )
+            assert _last_box(tables, full, rem, chosen) == want, (space.dims, rem, chosen)
+            classes[want is None, bool(chosen)] += 1
+        assert min(classes.values()) > 50 and len(classes) == 4, classes
+
+
+class TestLastBoxShortcut:
+    """With one box left the search tests the uncovered points' bounding box
+    and lists no candidate."""
+
+    @pytest.fixture
+    def listed(self, monkeypatch):
+        calls = []
+        hitting = kernel._hitting
+
+        def counting(*args):
+            calls.append(args)
+            return hitting(*args)
+
+        monkeypatch.setattr(kernel, "_hitting", counting)
+        return calls
+
+    def test_a_proper_box_comes_back_as_itself(self, listed):
+        for b in (bx([3, 3], {1}, {0, 2}), bx([4, 3, 3], {0, 2}, {1}, {0, 1})):
+            suit = proper_suit_for(PointSet(b.space, frozenset(b.points())))
+            assert masks(suit) == [b.factors]
+        assert not listed
+
+    def test_box_number_one_only_for_proper_boxes(self, listed):
+        # so is_polybox meets no other set with |G|_0 = 1, and answers every
+        # one of them without listing a candidate
+        for dims in ((3, 3), (2, 2, 3)):
+            space = BoxSpace(dims)
+            pts = sorted(space.points())
+            seen = 0
+            for bits in range(1, 1 << len(pts)):
+                g = PointSet(space, frozenset(p for k, p in enumerate(pts) if bits >> k & 1))
+                if box_number(g) == 1:
+                    extent = [len({p[i] for p in g.members}) for i in range(space.d)]
+                    assert math.prod(extent) == len(g) and all(map(int.__lt__, extent, dims))
+                    assert is_polybox(g)
+                    seen += 1
+            assert seen == math.prod((1 << n) - 2 for n in dims)
+        assert not listed
+
+    def test_one_box_left_refuses_a_set_that_is_no_proper_box(self, listed):
+        for pts in (
+            {(0, 0), (0, 1), (1, 0)},  # bounding box holds a point outside
+            {(0, 0), (0, 1), (0, 2)},  # a box, but not a proper one
+            {(0, 0), (2, 2)},  # the bounding box leaves g
+        ):
+            assert _proper_partition(PointSet(S33, frozenset(pts)), 1) is None
+        assert not listed
+
+
 class TestSearchMatchesOracle:
     """proper_suit_for returns the oracle's first minimal partition: both
     branch on the least uncovered point, try its proper boxes in
@@ -453,16 +596,18 @@ def _sub_suit_union(dims, k, rng):
     return union_points(verify_suit(rng.sample(boxes, k)))
 
 
-# Seeded 6-box unions in 4^4, the search's tail; seed 6 takes about 4 s.
-TAIL_SEEDS = (1, 2, 3, 4, 5, 7, 8)
+# Seeded 6-box unions in 4^4, the search's tail; seed 6, the slowest, takes
+# about 0.8 s on a 2-CPU machine.
+TAIL_SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
 class TestReferenceInstances:
     """Polyboxes that took two seconds or more each in the Box-building
     search, and the seeded 6-box unions in 4^4 that make the search's tail.
-    Listing only the boxes dichotomous to every chosen box took those seven
-    from about 11 s together to under 1 s on a 2-CPU machine (seed 3: 6.5 to
-    0.3 s)."""
+    Listing only the boxes dichotomous to every chosen box took seeds 1-5, 7
+    and 8 from about 11 s together to under 1 s on a 2-CPU machine (seed 3:
+    6.5 to 0.3 s).  Offering only masks inside the anchor's uncovered line
+    then took all eight from 3.7 to 1.0 s (seed 6: 2.9 to 0.8 s)."""
 
     @pytest.mark.parametrize(
         "build",
