@@ -62,8 +62,9 @@ class BudgetExceeded(PolyboxError):
 def require_budget(bits: int, what: str) -> None:
     """Refuse a step of 2^bits work over the budget in force.
 
-    `what` names the step and measure ("partition search needs |X|_1").  A
-    count n >= 1 is (n - 1).bit_length() bits, its log2 rounded up.
+    `what` names the step and measure ("fingerprint enumeration needs
+    |X|_1").  A count n >= 1 is (n - 1).bit_length() bits, its log2
+    rounded up.
     """
     limit = _BUDGET.get()
     if bits > limit:
@@ -84,10 +85,6 @@ def run_with_budget(budget: int, fn: Callable, *args):
 
 class EvenFactor(PolyboxError):
     """An operation requiring odd factor cardinalities met an even one."""
-
-
-class NoPartition(PolyboxError):
-    """A point set has no partition into proper boxes."""
 
 
 class CriteriaDisagree(PolyboxError):

@@ -22,6 +22,7 @@ from .errors import (
     InconsistentOrientation,
     NoWitness,
     SpaceMismatch,
+    require_budget,
 )
 
 STAR = "*"
@@ -131,6 +132,7 @@ class GenomeSet(Frozen):
                 raise ValueError(f"word {w} does not have length {self.d}")
             codes.append(self.alphabet.encode(w))
         object.__setattr__(self, "codes", tuple(codes))
+        require_budget((self.d - 1).bit_length(), "word length needs log2 d")
         kernel.require_dichotomous(codes, _flip(self.d))
 
     def __len__(self) -> int:

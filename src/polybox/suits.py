@@ -226,14 +226,19 @@ def _last_box(
     return None
 
 
-def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
-    """A partition of g into at most `size` proper boxes, or None; exact
-    only at size = |g|_0, the one size `proper_suit_for` asks for.
+def is_polybox(g: PointSet) -> bool:
+    """True iff g admits a partition into proper boxes of size |g|_0."""
+    return proper_suit_for(g) is not None
+
+
+def proper_suit_for(g: PointSet) -> Optional[Suit]:
+    """Some proper suit with union g, or None when g is not a polybox: the
+    first partition of g into |g|_0 proper boxes in mask-lexicographic order.
 
     Every partition of g into proper boxes has at least |g|_0 members, and
     exactly |g|_0 iff it is a suit (fingerprint parities add, and proper
-    boxes have disjoint fingerprints iff dichotomous).  So a node tries, in
-    mask-lexicographic order, only the proper boxes through the anchor (the
+    boxes have disjoint fingerprints iff dichotomous), so only that size is
+    searched.  A node tries only the proper boxes through the anchor (the
     least uncovered point) dichotomous to every box chosen, as listed by
     `words._hitting`.  Point sets are bitsets over g's sorted points.
 
@@ -243,18 +248,21 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
     with any other coordinate there holds a point outside rem, which the
     box test rejects.  With one box left, that box must be the uncovered
     points themselves, and only their bounding box can be; so the node tests
-    that box alone (`_last_box`) and lists no candidate.
+    that box alone (`_last_box`) and lists no candidate.  The partition
+    found is a suit, so its validation fails only on an internal bug.
     """
+    if not g.members:
+        return None
+    b0 = box_number(g)  # the budget check, before any table is built
+    if b0.denominator != 1 or b0 <= 0:
+        return None
     space = g.space
-    require_budget(space.size_sum, "partition search needs |X|_1")
     pts, tables = _point_tables(g)
     full = space.full_masks
     max_box = math.prod(n - 1 for n in space.dims)
     out: list[tuple[int, ...]] = []
 
     def rec(rem: int, left: int) -> bool:
-        if not rem:
-            return True
         if rem.bit_count() > left * max_box:
             return False
         if left == 1:
@@ -273,28 +281,9 @@ def _proper_partition(g: PointSet, size: int) -> Optional[list[Box]]:
                 out.pop()
         return False
 
-    if rec((1 << len(pts)) - 1, size):
-        return [Box(space, masks) for masks in out]
-    return None
-
-
-def is_polybox(g: PointSet) -> bool:
-    """True iff g admits a partition into proper boxes of size |g|_0."""
-    return proper_suit_for(g) is not None
-
-
-def proper_suit_for(g: PointSet) -> Optional[Suit]:
-    """Some proper suit with union g, or None when g is not a polybox: the
-    first partition of size |g|_0 that `_proper_partition` finds.  Such a
-    partition is a suit, so its validation fails only on an internal bug.
-    """
-    if not g.members:
+    if not rec((1 << len(pts)) - 1, int(b0)):
         return None
-    b0 = box_number(g)
-    if b0.denominator != 1 or b0 <= 0:
-        return None
-    parts = _proper_partition(g, int(b0))
-    return None if parts is None else verify_suit(parts, require_proper=True)
+    return verify_suit([Box(space, masks) for masks in out], require_proper=True)
 
 
 def is_minimal_partition(parts: Sequence[Box], g: PointSet) -> bool:

@@ -24,11 +24,20 @@ from typing import Iterable, Iterator, Optional, Sequence
 from polybox import Alphabet, Box, BoxSpace, GenomeSet, PointSet, Suit, TorusTiling
 from polybox._frozen import Frozen
 from polybox.boxes import members_of
-from polybox.errors import BudgetExceeded, NoPartition, TheoremViolation, require_budget
+from polybox.errors import (
+    BudgetExceeded,
+    PolyboxError,
+    TheoremViolation,
+    require_budget,
+)
 from polybox.serialize import VERSION, cube_rows
 from polybox.tilings import Cube
 
 Point = tuple[int, ...]
+
+
+class NoPartition(PolyboxError):
+    """A point set has no partition into proper boxes."""
 
 
 def factor_sets(box: Box) -> list[set[int]]:

@@ -330,6 +330,26 @@ class TestGenomeCommands:
             "code": "InputError", "detail": "letter 'b' not in the alphabet"
         }
 
+    @pytest.mark.parametrize("argv", [
+        ["genome-canon", "HUGE"],
+        ["genome-equiv", "--a", "HUGE", "--b", fx("genome_class.json")],
+        ["cover", "--word", "a", "--genome", "HUGE"],
+        ["rigidity", "--plus", "HUGE"],
+        ["rigidity", "--plus", fx("genome_plus.json"), "--universe", "HUGE"],
+    ], ids=["canon", "equiv", "cover", "plus", "universe"])
+    def test_huge_word_length_is_refused(self, capsys, tmp_path, argv):
+        # an empty genome leaves d unbounded by its words; d = 10**19 is
+        # refused before any length-d table is built
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(
+            {"kind": "genome", "version": "1", "d": 10**19,
+             "pairs": [["a", "a'"]], "words": []}
+        ))
+        code, doc = run_json(capsys, *[str(huge) if a == "HUGE" else a for a in argv])
+        assert code == 2 and doc["error"] == {
+            "code": "BudgetExceeded", "detail": "word length needs log2 d = 64 <= budget 24"
+        }
+
 
 class TestTilingCommands:
     def test_verify(self, capsys):
@@ -458,6 +478,37 @@ class TestTilingCommands:
         assert doc["overlap"] == ["0", "0"]
 
 
+def _int_error(text):
+    try:
+        int(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# more digits than int-to-text conversion allows, a coordinate that passes
+# the 'p/q' pattern but not the Fraction parse
+LONG = "1" * (sys.get_int_max_str_digits() + 1)
+GENOME = {"kind": "genome", "d": 2, "pairs": [["a", "a'"]]}
+TILING = {"kind": "tiling", "d": 1}
+
+# one document per input branch of serialize.py, with its exact detail
+MALFORMED = [
+    ("verify-suit", {"kind": "suit", "dims": [3, "3"], "boxes": [[[0], [0]]]},
+     "dims must be a list of integers"),
+    ("boxnum", {"kind": "points", "dims": [3], "points": {"0": [0]}},
+     "points must be a list"),
+    ("genome-canon", {**GENOME, "pairs": [], "words": []}, "pairs must be a nonempty list"),
+    ("genome-canon", {**GENOME, "pairs": [["a", "a'", "b"]], "words": []},
+     "each letter pair is a two-element array"),
+    ("genome-canon", {**GENOME, "words": "aa"}, "words must be a list"),
+    ("genome-canon", {**GENOME, "words": ["aa"]}, "each word is an array of letters"),
+    ("genome-canon", {**GENOME, "words": [["a"]]}, "word ('a',) does not have length 2"),
+    ("tiling-verify", {**TILING, "cubes": [[LONG]]}, f"cube 0: {_int_error(LONG)}"),
+    ("tiling-verify", {**TILING, "d": "1", "cubes": [["0"]]}, "d must be a positive integer"),
+    ("tiling-verify", {**TILING, "cubes": []}, "cubes must be a nonempty list"),
+]
+
+
 class TestDeterminismAndFormats:
     def test_byte_identical_runs(self, capsys):
         matrix = [
@@ -510,6 +561,17 @@ class TestDeterminismAndFormats:
         ))
         code, out = run_json(capsys, "genome-canon", str(path))
         assert code == 2 and out["error"]["code"] == "InputError"
+
+    @pytest.mark.parametrize("command, doc, detail", MALFORMED, ids=[
+        "dims", "points", "pairs", "pair", "words", "word", "word_length",
+        "coordinate_digits", "tiling_d", "cubes",
+    ])
+    def test_malformed_document_is_input_error(self, capsys, tmp_path, command, doc, detail):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"version": "1", **doc}))
+        code, out = run_json(capsys, command, str(path))
+        assert code == 2
+        assert out == {"error": {"code": "InputError", "detail": detail}}
 
     def test_missing_file_is_input_error(self, capsys):
         code, doc = run_json(capsys, "canon", fx("missing.json"))

@@ -28,7 +28,7 @@ from polybox import (
 )
 from polybox import words as kernel
 from polybox.boxes import is_dichotomous
-from polybox.suits import _last_box, _line_options, _point_tables, _proper_partition
+from polybox.suits import _last_box, _line_options, _point_tables
 from polybox.errors import (
     BudgetExceeded,
     NotAPartition,
@@ -433,10 +433,10 @@ def _search_state(rng, max_dim=4, max_d=4):
 
 
 class TestSearchPrunes:
-    """The line filter and the last-box shortcut of `_proper_partition`
-    against the routes they replaced, kept here as the references: the full
-    mask lists through the anchor, and the first `words._hitting` candidate
-    whose box is exactly the uncovered points."""
+    """The line filter and the last-box shortcut of `proper_suit_for`'s
+    search against the routes they replaced, kept here as the references:
+    the full mask lists through the anchor, and the first `words._hitting`
+    candidate whose box is exactly the uncovered points."""
 
     def test_line_filter_drops_only_boxes_that_fail(self):
         rng = random.Random(2419)
@@ -540,7 +540,9 @@ class TestLastBoxShortcut:
             {(0, 0), (0, 1), (0, 2)},  # a box, but not a proper one
             {(0, 0), (2, 2)},  # the bounding box leaves g
         ):
-            assert _proper_partition(PointSet(S33, frozenset(pts)), 1) is None
+            g = PointSet(S33, frozenset(pts))
+            _, tables = _point_tables(g)
+            assert _last_box(tables, S33.full_masks, (1 << len(pts)) - 1, []) is None
         assert not listed
 
 
