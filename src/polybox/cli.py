@@ -75,11 +75,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str) -> dict:
-    if path == "-":
-        return ser.loads(sys.stdin.read())
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return ser.loads(text)
 
@@ -184,7 +182,10 @@ def _cmd_cover(args) -> tuple[int, dict]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     return 0 if result.covered else 1, ser.report(
-        args.command, covered=result.covered, gap=result.gap, g_sum=result.g_sum
+        args.command,
+        covered=result.covered,
+        gap=ser.printable(result.gap),
+        g_sum=ser.printable(result.g_sum),
     )
 
 

@@ -46,8 +46,6 @@ class Alphabet(Frozen):
                 if s in seen:
                     raise ValueError(f"duplicate letter {s!r}")
                 seen.add(s)
-            if a == b:
-                raise ValueError(f"complementation must not fix {a!r}")
 
     @cached_property
     def _code(self) -> dict[str, int]:
@@ -243,19 +241,19 @@ def _check_comparable(v: GenomeSet, w: GenomeSet):
 
 def equivalent_by_canon(v: GenomeSet, w: GenomeSet) -> bool:
     _check_comparable(v, w)
-    return kernel.same_expansion(v.codes, w.codes, _flip(v.d))
+    return kernel.same_expansions(v.codes, w.codes, _flip(v.d), (False,))[0]
 
 
 def equivalent_by_index(v: GenomeSet, w: GenomeSet) -> bool:
     """Equal indices on every starred positive word over occurring letters.
 
     A genome's nonzero indices are its expansion with stars, compared by
-    words.same_expansion: words both genomes hold cancel, one evaluation of
+    words.same_expansions: words both genomes hold cancel, one evaluation of
     each remainder mod a prime refutes most unequal pairs, a match is glued
     first, and only what gluing leaves unmatched has its indices summed.
     """
     _check_comparable(v, w)
-    return kernel.same_expansion(v.codes, w.codes, _flip(v.d), stars=True)
+    return kernel.same_expansions(v.codes, w.codes, _flip(v.d), (True,))[0]
 
 
 def equivalent_by_cover(v: GenomeSet, w: GenomeSet) -> bool:
@@ -298,28 +296,29 @@ def genomes_equivalent(v: GenomeSet, w: GenomeSet) -> bool:
     return by_canon
 
 
-def class_members_in(w: GenomeSet, u: Word) -> list[Word]:
-    """Members of w lying in u's complement class."""
-    code, flip = w.alphabet.encode(u), _flip(w.d)
-    return [
-        x for x, c in zip(w.words, w.codes) if kernel.epsilon(code, c, flip) is not None
-    ]
+def _parity(code: Sequence[int]) -> int:
+    """The parity of the word's count of positive letters.  Two words of
+    one complement class differ at a pattern of this parity's change."""
+    return sum(map((1).__and__, code)) & 1
 
 
 def rigidity_witness(w: GenomeSet, v: Sequence[str]) -> Word:
     """A member u of w with |index(w, u)| < |class(u) meet w|.
 
     Exists whenever a word outside w is covered by w; failing to find one
-    contradicts the uniqueness theorem, hence the dedicated error.
+    contradicts the uniqueness theorem, hence the dedicated error.  Only u's
+    class adds to its index, each member +1 or -1 by its parity against u,
+    so the first such u is the first member of the first class holding
+    both parities.
     """
     v = tuple(v)
     if v in w.words:
         raise ValueError("the covered word must lie outside the genome")
     if not covers(v, w).covered:
         raise ValueError("witness search requires a covered word")
-    for u in w.words:
-        if abs(word_index(w, u)) < len(class_members_in(w, u)):
-            return u
+    for c in kernel.complement_classes(w.codes):
+        if len({_parity(w.codes[k]) for k in c}) > 1:
+            return w.words[c[0]]
     raise NoWitness("no member violates the index bound")
 
 
@@ -329,8 +328,9 @@ def induced_decomposition(
     """Split w by per-word signs that must be constant on parity classes.
 
     Words in one complement class carry the same sign exactly when their
-    complement pattern has even weight; any assignment breaking that rule is
-    rejected.
+    complement pattern has even weight, that is when sign * (-1)^parity is
+    constant on the class; any assignment breaking that rule is rejected,
+    naming the class's first member and the first member disagreeing with it.
     """
     signs = []
     for word in w.words:
@@ -338,15 +338,12 @@ def induced_decomposition(
         if sign not in (1, -1):
             raise InconsistentOrientation(f"no sign for {word}")
         signs.append(sign)
-    for i in range(len(w.words)):
-        for j in range(i + 1, len(w.words)):
-            eps = kernel.epsilon(w.codes[i], w.codes[j], _flip(w.d))
-            if eps is None:
-                continue
-            expected = signs[i] * (-1) ** sum(eps)
-            if signs[j] != expected:
+    rule = [-s if _parity(c) else s for s, c in zip(signs, w.codes)]
+    for c in kernel.complement_classes(w.codes):
+        for k in c:
+            if rule[k] != rule[c[0]]:
                 raise InconsistentOrientation(
-                    f"{w.words[i]} and {w.words[j]} break the parity rule"
+                    f"{w.words[c[0]]} and {w.words[k]} break the parity rule"
                 )
     plus = tuple(x for x, s in zip(w.words, signs) if s == 1)
     minus = tuple(x for x, s in zip(w.words, signs) if s == -1)

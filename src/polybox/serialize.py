@@ -34,7 +34,7 @@ def dumps(doc: dict, fmt: str = "json") -> str:
 def _json(text: str, what: str) -> Any:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise InputError(f"{what}: {exc}") from exc
     except RecursionError as exc:
         raise InputError(f"{what}: nested too deeply") from exc

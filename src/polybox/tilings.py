@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property
 from operator import getitem, ne
@@ -100,16 +99,6 @@ def _ranks(values: dict[int, Fraction]) -> dict[int, int]:
     return {x: r for r, x in enumerate(sorted(values, key=values.__getitem__))}
 
 
-def _offset_classes(words: Sequence[Word]) -> list[list[int]]:
-    """Word indices grouped by integral offsets of their cubes: the letters
-    of two cubes at integral offsets are of the same pair at every position.
-    Classes come in the order of their smallest index."""
-    classes = defaultdict(list)
-    for k, word in enumerate(words):
-        classes[tuple(map((1).__rrshift__, word))].append(k)
-    return list(classes.values())
-
-
 class TorusTiling(Frozen):
     """A validated cube tiling: 2^d pairwise dichotomous offset vectors.
 
@@ -136,7 +125,8 @@ class TorusTiling(Frozen):
 
     @cached_property
     def extremality(self) -> ExtremalityResult:
-        classes = _offset_classes(self.codes)
+        # a complement class is a set of cubes at integral offsets
+        classes = kernel.complement_classes(self.codes)
         partners = sorted(p for c in classes for p in itertools.combinations(c, 2))
         return ExtremalityResult(all(len(c) == 2 for c in classes), tuple(partners))
 
@@ -188,7 +178,7 @@ class ExtremalDecomposition(Frozen):
         object.__setattr__(self, "plus", tuple(plus))
         object.__setattr__(self, "minus", tuple(minus))
         for half, words in ((plus, plus_words), (minus, minus_words)):
-            for c in _offset_classes(words):
+            for c in kernel.complement_classes(words):
                 if len(c) > 1:
                     raise NotTwoExtremal(
                         f"partner pair {half[c[0]]}, {half[c[1]]} sits inside one half"
@@ -320,7 +310,7 @@ def generate_two_extremal(d: int, seed: int) -> TorusTiling:
             columns.append({3: c, 2: c + 1})
             return [(3,), (2,)]
         below = build(dim - 1)
-        classes = _offset_classes(below)
+        classes = kernel.complement_classes(below)
         if any(len(c) != 2 for c in classes):
             raise TheoremViolation(f"generated layer {dim - 1} is not 2-extremal")
         shift = _random_unit_fraction(rng, nonzero=True)

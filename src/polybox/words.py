@@ -100,6 +100,20 @@ def epsilon(
     return tuple(eps)
 
 
+def complement_classes(words: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Word indices grouped by complement class, in the order of their
+    smallest index.
+
+    Valid for the flip-1 letter encoding only (pair k as letters 2k+3 and
+    2k+2), where two words lie in one class exactly when their letters are
+    of the same pair at every position; boxes do not use it.
+    """
+    classes = defaultdict(list)
+    for k, word in enumerate(words):
+        classes[tuple(map((1).__rrshift__, word))].append(k)
+    return list(classes.values())
+
+
 def require_expansion(words: Sequence[Sequence[int]], stars: bool = False) -> None:
     """Refuse, before it starts, an expansion over the budget in force.
 
@@ -177,14 +191,6 @@ def _glue(words: Sequence[Word], flip: Word) -> dict[Word, int]:
                 todo.append(g)
             w[i] = u[i]
     return {u: k for u, k in count.items() if k}
-
-
-def same_expansion(
-    v: Sequence[Word], w: Sequence[Word], flip: Word, stars: bool = False
-) -> bool:
-    """expand(v, flip, stars) == expand(w, flip, stars): same_expansions
-    for the one mode."""
-    return same_expansions(v, w, flip, (stars,))[0]
 
 
 def same_expansions(

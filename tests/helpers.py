@@ -4,7 +4,9 @@ Nothing here shares a decision route with the functions it checks, and
 nothing imports the word kernel (polybox.words), so the library's fast
 paths are checked against a second route, not against themselves.  The
 little oracles recompute definitions by set algebra over explicit member
-tuples, with no bit tricks.  Minimality is a full backtracking search over
+tuples, with no bit tricks.  The rigidity witness and the orientation
+check of induced decompositions are kept here in their pairwise form,
+comparing words letter by letter.  Minimality is a full backtracking search over
 all proper-box partitions.  The cover relation is containment inside the
 one-letter-per-pair selection space, computed from explicit selection bit
 masks, or in one seeded exact realization.  The serializers and
@@ -21,11 +23,22 @@ import random
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from polybox import Alphabet, Box, BoxSpace, GenomeSet, PointSet, Suit, TorusTiling
+from polybox import (
+    Alphabet,
+    Box,
+    BoxSpace,
+    GenomeSet,
+    PointSet,
+    Suit,
+    TorusTiling,
+    word_index,
+)
 from polybox._frozen import Frozen
 from polybox.boxes import members_of
 from polybox.errors import (
     BudgetExceeded,
+    InconsistentOrientation,
+    NoWitness,
     PolyboxError,
     TheoremViolation,
     require_budget,
@@ -392,3 +405,51 @@ def random_realization_check(
     for box in realization.realize(w):
         member_points.update(box.points())
     return all(p in member_points for p in v_box.points())
+
+
+def letter_epsilon(
+    alphabet: Alphabet, v: Sequence[str], w: Sequence[str]
+) -> Optional[tuple[int, ...]]:
+    """The complement pattern turning v into w, letter by letter, or None
+    when w is outside v's complement class."""
+    eps = []
+    for a, b in zip(v, w):
+        if a == b:
+            eps.append(0)
+        elif alphabet.complement(a) == b:
+            eps.append(1)
+        else:
+            return None
+    return tuple(eps)
+
+
+def pairwise_orientation_check(w: GenomeSet, orientation) -> None:
+    """induced_decomposition's checks, pair by pair: InconsistentOrientation
+    for the first word without a sign, else for the first pair i < j of one
+    class whose signs differ unless their pattern has odd weight."""
+    signs = []
+    for word in w.words:
+        sign = orientation.get(word)
+        if sign not in (1, -1):
+            raise InconsistentOrientation(f"no sign for {word}")
+        signs.append(sign)
+    for i in range(len(w.words)):
+        for j in range(i + 1, len(w.words)):
+            eps = letter_epsilon(w.alphabet, w.words[i], w.words[j])
+            if eps is None:
+                continue
+            if signs[j] != signs[i] * (-1) ** sum(eps):
+                raise InconsistentOrientation(
+                    f"{w.words[i]} and {w.words[j]} break the parity rule"
+                )
+
+
+def pairwise_witness_search(w: GenomeSet) -> tuple[str, ...]:
+    """rigidity_witness without its premises, member by member: the first
+    member u with |index(w, u)| below the count of members in u's class."""
+    for u in w.words:
+        members = [x for x in w.words if letter_epsilon(w.alphabet, u, x) is not None]
+        if abs(word_index(w, u)) < len(members):
+            return u
+    raise NoWitness("no member violates the index bound")
+

@@ -179,3 +179,16 @@ class TestProperness:
         assert b.support() == tuple(
             i for i, m in enumerate(b.factors) if m != b.space.full_masks[i]
         )
+
+
+S33 = BoxSpace((3, 3))
+
+
+@pytest.mark.parametrize("make, what", [
+    (lambda: Box(S33, (1,)), "factor count"),
+    (lambda: Box.from_sets(S33, [[0]]), "factor count"),
+    (lambda: complement_action(Box(S33, (1, 1)), (1,)), "epsilon length"),
+], ids=["factors", "sets", "epsilon"])
+def test_refuses_a_length_other_than_the_dimension(make, what):
+    with pytest.raises(ValueError, match=f"^{what} does not match the space dimension$"):
+        make()

@@ -17,7 +17,7 @@ from polybox import (
     verify_suit,
 )
 from polybox import words as kernel
-from polybox.canon import same_polybox
+from polybox.canon import CanonicalForm, same_polybox
 from polybox.errors import (
     BudgetExceeded,
     PolyboxError,
@@ -274,3 +274,13 @@ class TestSamePolybox:
         ):
             with pytest.raises(ValueError, match="^suit holds an improper box$"):
                 refuse()
+
+
+@pytest.mark.parametrize("coeffs, message", [
+    ({(1, 1): 0}, "zero coefficients must not be stored"),
+    ({(2, 7): 1}, r"\(2, 7\) is not a basis box"),  # {1} lacks element 0
+    ({(1,): 1}, r"\(1,\) is not a basis box"),
+], ids=["zero", "not_basis", "length"])
+def test_canonical_form_refuses(coeffs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CanonicalForm(BoxSpace((3, 3)), coeffs)

@@ -58,6 +58,15 @@ class TestVerifySuit:
         code, doc = run_json(capsys, "verify-suit")
         assert code == 0 and doc["box_count"] == 1
 
+    def test_stdin_that_is_not_utf8_is_input_error(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff{"), encoding="utf-8")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, doc = run_json(capsys, "verify-suit")
+        assert code == 2 and doc["error"] == {"code": "InputError", "detail": (
+            "cannot read -: 'utf-8' codec can't decode byte 0xff in position 0:"
+            " invalid start byte"
+        )}
+
 
 class TestBoxnum:
     def test_suit_union(self, capsys):
@@ -297,6 +306,19 @@ class TestGenomeCommands:
         assert code == 2
         assert doc["error"] == {"code": "InputError", "detail": detail}
 
+    @pytest.mark.parametrize("first", ["a", "a'"], ids=["covered", "uncovered"])
+    def test_cover_sum_too_long_to_print_is_input_error(self, capsys, tmp_path, first):
+        # g_sum (covered) or gap (not) is 2^d, more digits than json.dumps prints
+        d = 15_000
+        path = tmp_path / "genome.json"
+        path.write_text(json.dumps({"kind": "genome", "version": "1", "d": d,
+                                    "pairs": [["a", "a'"]], "words": [["a"] * d]}))
+        word = ",".join([first] + ["a"] * (d - 1))
+        code, doc = run_json(capsys, "cover", "--word", word, "--genome", str(path))
+        assert code == 2 and doc["error"] == {
+            "code": "InputError", "detail": f"cannot print a {d + 1}-bit numerator or denominator"
+        }
+
     def test_rigidity(self, capsys):
         code, doc = run_json(capsys, "rigidity", "--plus", fx("genome_plus.json"))
         assert code == 0
@@ -506,6 +528,11 @@ MALFORMED = [
     ("tiling-verify", {**TILING, "cubes": [[LONG]]}, f"cube 0: {_int_error(LONG)}"),
     ("tiling-verify", {**TILING, "d": "1", "cubes": [["0"]]}, "d must be a positive integer"),
     ("tiling-verify", {**TILING, "cubes": []}, "cubes must be a nonempty list"),
+    ("boxnum", {**GENOME, "words": []}, "expected a suit or points document, got genome"),
+    ("genome-canon", {**GENOME, "pairs": [["a", "b"], ["b", "c"]], "words": []},
+     "duplicate letter 'b'"),
+    ("genome-canon", {**GENOME, "pairs": [["a", "*"]], "words": []}, "invalid letter '*'"),
+    ("tiling-verify", {**TILING, "cubes": [["0", "1"]]}, "cube 0 needs 1 coordinates"),
 ]
 
 
@@ -564,7 +591,8 @@ class TestDeterminismAndFormats:
 
     @pytest.mark.parametrize("command, doc, detail", MALFORMED, ids=[
         "dims", "points", "pairs", "pair", "words", "word", "word_length",
-        "coordinate_digits", "tiling_d", "cubes",
+        "coordinate_digits", "tiling_d", "cubes", "boxnum_genome", "repeated_letter",
+        "star_letter", "cube_row",
     ])
     def test_malformed_document_is_input_error(self, capsys, tmp_path, command, doc, detail):
         path = tmp_path / "doc.json"
@@ -576,6 +604,29 @@ class TestDeterminismAndFormats:
     def test_missing_file_is_input_error(self, capsys):
         code, doc = run_json(capsys, "canon", fx("missing.json"))
         assert code == 2 and doc["error"]["code"] == "InputError"
+
+    def test_file_that_is_not_utf8_is_input_error(self, capsys, tmp_path):
+        # read as UTF-8 whatever the locale
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"\xff{")
+        code, doc = run_json(capsys, "canon", str(path))
+        assert code == 2 and doc["error"] == {"code": "InputError", "detail": (
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in"
+            " position 0: invalid start byte"
+        )}
+
+    @pytest.mark.parametrize("argv, what", [
+        (["verify-suit", "DOC"], "invalid JSON"),
+        (["index", "--suit", fx("suit_x.json"), "--box", f"[[{LONG}]]"], "invalid box"),
+    ], ids=["document", "box"])
+    def test_integer_of_too_many_digits_is_input_error(self, capsys, tmp_path, argv, what):
+        # json.loads raises a plain ValueError here, not a JSONDecodeError
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"kind": "suit", "version": "1", "dims": [{LONG}], "boxes": []}}')
+        code, doc = run_json(capsys, *[str(path) if a == "DOC" else a for a in argv])
+        assert code == 2 and doc["error"] == {
+            "code": "InputError", "detail": f"{what}: {_int_error(LONG)}"
+        }
 
     def test_budget_flag_is_enforced(self, capsys):
         code, doc = run_json(

@@ -3,10 +3,13 @@
 
 Documents of every kind are drawn small and often malformed: fixture
 documents with a field replaced or added, structured documents with random
-fields, and arbitrary JSON.  Every subcommand gets its required options,
-with values that are sometimes nonsense.  Runs are under --budget 12, so
-any exponential step is refused long before the deadline; exit 3 (an
-internal fault) or an uncaught exception fails the test.
+fields, and arbitrary JSON.  Some files are not JSON documents at all:
+arbitrary bytes, or a document's text with one integer spliced to more
+digits than int-to-text conversion allows; a command reading one exits 2.
+Every subcommand gets its required options, with values that are
+sometimes nonsense.  Runs are under --budget 12, so any exponential step
+is refused long before the deadline; exit 3 (an internal fault) or an
+uncaught exception fails the test.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,6 +81,35 @@ documents = st.one_of(st.sampled_from(FIXTURES), mutated_fixture(),
 text = st.text(alphabet="ab',*0123456789[]/ -", max_size=12)
 
 
+def int_paths(doc, path=()):
+    """The paths to every integer of a document."""
+    if type(doc) is int:
+        yield path
+    elif isinstance(doc, (list, dict)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from int_paths(value, path + (key,))
+
+
+@st.composite
+def long_integer_text(draw):
+    """A document's text with one of its integers given too many digits to
+    parse; spliced into the text, as json.dumps cannot print that integer."""
+    doc = draw((st.sampled_from(FIXTURES) | mutated_fixture()).filter(
+        lambda doc: any(int_paths(doc))
+    ))
+    *path, last = draw(st.sampled_from(list(int_paths(doc))))
+    doc = json.loads(json.dumps(doc))  # a copy to splice into
+    parent = doc
+    for key in path:
+        parent = parent[key]
+    parent[last] = marker = "<long integer>"
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    return json.dumps(doc).replace(json.dumps(marker), digits).encode()
+
+
+unparsable = st.binary(max_size=20) | long_integer_text()
+
+
 @st.composite
 def argv(draw):
     command = draw(st.sampled_from([
@@ -119,16 +152,21 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@given(args=argv(), a=documents, b=documents,
+@given(args=argv(), a=documents | unparsable, b=documents | unparsable,
        fmt=st.sampled_from(["json", "pretty"]))
 @settings(max_examples=200, deadline=5000,
           suppress_health_check=[HealthCheck.too_slow])
 def test_every_run_prints_one_json_document(workdir, args, a, b, fmt):
-    (workdir / "a.json").write_text(json.dumps(a))
-    (workdir / "b.json").write_text(json.dumps(b))
-    paths = {"a.json": str(workdir / "a.json"), "b.json": str(workdir / "b.json")}
+    paths, unparsable_read = {}, False
+    for name, doc in (("a.json", a), ("b.json", b)):
+        paths[name] = str(workdir / name)
+        data = doc if isinstance(doc, bytes) else json.dumps(doc).encode()
+        (workdir / name).write_bytes(data)
+        unparsable_read |= isinstance(doc, bytes) and name in args
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = main([paths.get(x, x) for x in args] + ["--format", fmt])
     assert code in (0, 1, 2), (args, a, b)
+    if unparsable_read:
+        assert code == 2, (args, a, b)
     json.loads(out.getvalue())

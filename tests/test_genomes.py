@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from polybox import (
@@ -8,6 +10,7 @@ from polybox import (
     BoxSpace,
     GenomeSet,
     STAR,
+    WordCanonicalForm,
     covers,
     genome_canonical,
     genomes_equivalent,
@@ -22,6 +25,7 @@ from polybox.errors import (
     InconsistentOrientation,
     NotDichotomous,
     NotUnique,
+    PolyboxError,
     SpaceMismatch,
     TheoremViolation,
 )
@@ -33,6 +37,7 @@ from generate import (
     random_word,
 )
 from polybox.genomes import (
+    CoverResult,
     _overlap,
     epsilon_between,
     equivalent_by_cover,
@@ -42,6 +47,9 @@ from helpers import (
     e_realization,
     e_realization_covers,
     e_realization_covers_points,
+    letter_epsilon,
+    pairwise_orientation_check,
+    pairwise_witness_search,
     random_realization_check,
 )
 
@@ -59,9 +67,10 @@ class TestAlphabet:
         assert AB.complement("a'") == "a"
 
     def test_rejects_duplicates_and_star(self):
-        with pytest.raises(ValueError):
+        # a letter paired with itself is a duplicate letter
+        with pytest.raises(ValueError, match="^duplicate letter 'a'$"):
             Alphabet((("a", "a"),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^invalid letter '\\*'$"):
             Alphabet((("*", "x"),))
 
     def test_every_route_names_the_first_foreign_letter(self):
@@ -369,6 +378,93 @@ class TestInducedDecomposition:
         assert plus.words == w.words and len(minus) == 0
 
 
+def outcome(fn, *args):
+    """fn's result, or the type and message of its error."""
+    try:
+        return fn(*args)
+    except (PolyboxError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def consistent_signs(w, rng):
+    """A random orientation constant on parity classes, found pairwise."""
+    signs = {}
+    for word in w.words:
+        if word not in signs:
+            sign = rng.choice((1, -1))
+            for other in w.words:
+                eps = letter_epsilon(w.alphabet, word, other)
+                if eps is not None:
+                    signs[other] = sign * (-1) ** sum(eps)
+    return signs
+
+
+class TestAgainstPairwiseReferences:
+    """The witness and the orientation check read complement classes; the
+    pairwise loops they replaced (helpers) must give the same words and the
+    same first error."""
+
+    def genomes(self, rng, count):
+        for k in range(count):
+            alphabet = random_alphabet(rng, max_pairs=3)
+            d = rng.randint(1, 5)
+            size = 1 << d if k % 3 == 0 else rng.randint(1, 1 << d)
+            w = random_genome(alphabet, d, rng, size=size)
+            yield mutate_genome(w, rng, moves=rng.randint(1, 4)) if k % 2 else w
+
+    def test_orientation_check(self):
+        rng = random.Random(7)
+        seen = Counter()
+        for w in self.genomes(rng, 750):
+            for mode in ("consistent", "one flipped", "random", "one missing"):
+                signs = consistent_signs(w, rng)
+                if mode == "one flipped":
+                    flipped = rng.choice(w.words)
+                    signs[flipped] = -signs[flipped]
+                elif mode == "random":
+                    signs = {word: rng.choice((1, -1)) for word in w.words}
+                elif mode == "one missing":
+                    del signs[rng.choice(w.words)]
+                expected = outcome(pairwise_orientation_check, w, signs)
+                got = outcome(induced_decomposition, w, signs)
+                if expected is None:
+                    assert mode != "one missing"
+                    assert got[0].words == tuple(x for x in w.words if signs[x] == 1)
+                    assert got[1].words == tuple(x for x in w.words if signs[x] == -1)
+                    seen["split"] += 1
+                else:
+                    assert got == expected, (w, signs)
+                    seen[mode, expected[1].endswith("break the parity rule")] += 1
+        assert seen["split"] >= 1000 and seen["one missing", False] == 750
+        assert seen["one flipped", True] >= 600 and seen["random", True] >= 500
+
+    def test_witness(self, monkeypatch):
+        rng = random.Random(7)
+        seen = Counter()
+        for w in self.genomes(rng, 600):
+            v = random_word(w.alphabet, w.d, rng)
+            if v in w.words:
+                continue
+            if covers(v, w).covered:
+                expected = outcome(pairwise_witness_search, w)
+                seen["covered"] += 1
+            else:
+                expected = ("ValueError", "witness search requires a covered word")
+            assert outcome(rigidity_witness, w, v) == expected, (w, v)
+        # a genome covering no word outside it: the search alone decides,
+        # and a genome whose classes each hold one parity has no witness
+        monkeypatch.setattr("polybox.genomes.covers", lambda v, w: CoverResult(True, 0, 0))
+        for w in self.genomes(rng, 600):
+            v = random_word(w.alphabet, w.d, rng)
+            if v in w.words:
+                continue
+            expected = outcome(pairwise_witness_search, w)
+            assert outcome(rigidity_witness, w, v) == expected, (w, v)
+            seen["NoWitness" if expected[0] == "NoWitness" else "stubbed"] += 1
+        assert seen["covered"] >= 150 and seen["stubbed"] >= 250
+        assert seen["NoWitness"] >= 50
+
+
 class TestRikitikigenom:
     def test_plus_half_inside_equivalent_genome_forces_equality(self, rng):
         checked = 0
@@ -449,3 +545,28 @@ class TestReconstructMinus:
                 continue
             got = reconstruct_minus(plus)
             assert set(got.words) == set(minus.words)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: GenomeSet(AB, 0, ()), ValueError, "word length must be at least 1"),
+    (lambda: WordCanonicalForm(1, {("a",): 0}), ValueError,
+     "zero coefficients must not be stored"),
+    (lambda: WordCanonicalForm(2, {("a",): 1}), ValueError,
+     r"monomial \('a',\) has wrong length"),
+    (lambda: word_index(genome(AB, 2, ("a", "b")), ("a",)), ValueError,
+     "index word has wrong length"),
+    (lambda: word_index(genome(AB, 1, ("a",)), ("x",)), ValueError,
+     "letter 'x' not in the alphabet"),
+    (lambda: genomes_equivalent(genome(AB, 1, ("a",)), genome(AB, 2, ("a", "b"))),
+     SpaceMismatch, "genomes have different word lengths"),
+    (lambda: rigidity_witness(genome(AB, 1, ("a",), ("a'",)), ("a",)), ValueError,
+     "the covered word must lie outside the genome"),
+], ids=["d", "zero", "monomial", "index_length", "index_letter", "lengths", "member"])
+def test_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
+def test_cover_result_is_truthy_as_its_verdict():
+    w = genome(AB, 1, ("a",))
+    assert covers(("a",), w) and not covers(("a'",), w)

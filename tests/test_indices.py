@@ -7,6 +7,7 @@ import pytest
 
 from polybox import (
     Box,
+    BinaryCode,
     BoxSpace,
     DyadicLabelling,
     apply_epsilon,
@@ -25,7 +26,7 @@ from polybox import (
     verify_dyadic,
     verify_suit,
 )
-from polybox.errors import EvenFactor
+from polybox.errors import EvenFactor, NotProper, SpaceMismatch
 from generate import (
     distinct_suit_pair,
     random_proper_box,
@@ -361,3 +362,28 @@ class TestWiezaStructure:
                                 )
                                 for d in odd
                             )
+
+
+S33 = BoxSpace((3, 3))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    # the second box's full factor 1 has no complement
+    (lambda: apply_epsilon(verify_suit([Box(S33, (1, 1)), Box(S33, (6, 7))]), (0, 1)),
+     NotProper, "box 1 is not proper"),
+    (lambda: BinaryCode(S33, (bin,)), ValueError, "one bit function per factor required"),
+    (lambda: even_odd_code(S33).codeword(Box(BoxSpace((3,)), (1,))), SpaceMismatch,
+     "box outside the code's space"),
+    (lambda: even_odd_code(S33).codeword(Box(S33, (7, 1))), ValueError,
+     "binary codes label proper boxes only"),
+    (lambda: equicomplementary_labelling(S33, [{1, 2, 4}, {1, 6, 2, 4}]), ValueError,
+     "transversal 1 must contain exactly one of each pair"),
+], ids=["image", "bit_fns", "space", "proper", "transversal"])
+def test_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
+def test_validate_refutes_a_code_breaking_the_complement_sum():
+    assert even_odd_code(S33).validate()
+    assert not BinaryCode(S33, (lambda m: 0,) * 2).validate()

@@ -28,7 +28,7 @@ from polybox import (
 )
 from polybox import words as kernel
 from polybox.boxes import is_dichotomous
-from polybox.suits import _last_box, _line_options, _point_tables
+from polybox.suits import Suit, _last_box, _line_options, _point_tables
 from polybox.errors import (
     BudgetExceeded,
     NotAPartition,
@@ -635,3 +635,21 @@ class TestReferenceInstances:
         verify_suit(suit.boxes, require_proper=True)
         assert union_points(suit).members == g.members
         assert len(suit) == box_number(g)
+
+
+S33 = BoxSpace((3, 3))
+LINE = PointSet(S33, frozenset(Box(S33, (7, 1)).points()))
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Suit(S33, (Box(S33, (1, 1)), Box(BoxSpace((3, 4)), (6, 1)))),
+     SpaceMismatch, "suit members live in different spaces"),
+    (lambda: is_minimal_partition([], LINE), NotAPartition, "no parts given"),
+    (lambda: is_minimal_partition([Box(BoxSpace((3,)), (1,))], LINE), SpaceMismatch,
+     "partition member outside the point set's space"),
+    (lambda: is_minimal_partition([Box(S33, (7, 1))], LINE), NotAPartition,
+     "part 0 is not a proper box"),
+], ids=["suit_spaces", "no_parts", "part_space", "improper_part"])
+def test_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()

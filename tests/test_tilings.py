@@ -32,7 +32,9 @@ from polybox.errors import (
 from polybox import words as kernel
 from polybox import tilings
 from polybox.tilings import (
+    ChessboardResult,
     ExtremalDecomposition,
+    ExtremalityResult,
     TorusTiling,
     _intern,
     _shown,
@@ -430,3 +432,31 @@ class TestGenerator:
             per_position = [g.occurring_letters(i) for i in range(g.d)]
             for v in itertools.product(*per_position):
                 assert covers(v, g).covered
+
+
+T2 = generate_two_extremal(2, 0)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: TorusTiling(2, (("0", "0"), ("1", "0"), ("1/2", "1"), ("3/2",))), WrongCount,
+     r"cube \(Fraction\(3, 2\),\) does not have 2 coordinates"),
+    (lambda: tiling_verify([]), WrongCount, "no cubes given"),
+    (lambda: decompose(T2, select="x"), ValueError, "unknown selector 'x'"),
+    (lambda: reconstruct([]), WrongCount, "an empty plus half determines nothing"),
+    (lambda: reconstruct([("0", "0"), ("1",)]), ValueError,
+     "plus cubes need one common dimension d >= 1"),
+    (lambda: chessboard_check(T2, decompose(T2), ("0",)), WrongCount,
+     "query point has wrong dimension"),
+    (lambda: generate_two_extremal(0, 0), ValueError, "dimension must be at least 1"),
+], ids=["cube_length", "no_cubes", "selector", "empty_plus", "plus_lengths", "query",
+        "gen_d"])
+def test_refusals(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
+
+
+def test_results_are_truthy_as_their_verdict():
+    assert is_two_extremal(T2)
+    assert not ExtremalityResult(False, ())
+    assert chessboard_check(T2, decompose(T2), decompose(T2).minus[0])
+    assert not ChessboardResult(False, T2.cubes[0])

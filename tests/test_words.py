@@ -5,10 +5,12 @@ bitset version of `require_dichotomous` replaced, `brute_complete`
 enumerates every candidate word at once where `complete` branches on the
 members not yet hit, `dense_index_sums` scans `index` over every starred
 positive word where `expand` with stars visits only the nonzero ones, and
-comparing two whole expansions is the reference for `same_expansion`.
+comparing two whole expansions is the reference for `same_expansions`.
 `exact_expansion_check` sums every word's terms where `require_expansion`
 counts them only when their bound is over the budget.  All run on box masks
-(flip = full masks) and on interned letters (flip = 1).
+(flip = full masks) and on interned letters (flip = 1), but for
+`pairwise_classes`, which groups interned words by `epsilon` pair by pair
+where `complement_classes` keys each word once.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from generate import (
 )
 from helpers import suit_union_set
 from polybox.genomes import Alphabet, equivalent_by_cover, equivalent_by_index
+from polybox.tilings import generate_two_extremal
 from polybox.oracle import points_equal
 
 
@@ -163,6 +166,39 @@ class TestRequireDichotomous:
         with pytest.raises(NotDichotomous) as info:
             kernel.require_dichotomous([(2, 3), (3, 3), (2, 3)], (1, 1))
         assert (info.value.i, info.value.j) == (0, 2)
+
+
+def pairwise_classes(words, flip):
+    """Word indices grouped by words.epsilon, pair by pair."""
+    classes, placed = [], set()
+    for i, v in enumerate(words):
+        if i not in placed:
+            c = [j for j in range(i, len(words)) if kernel.epsilon(v, words[j], flip) is not None]
+            placed.update(c)
+            classes.append(c)
+    return classes
+
+
+class TestComplementClasses:
+    def test_matches_pairwise_epsilon(self):
+        rng = random.Random(57)
+        sizes = Counter()
+        for k in range(600):
+            d = rng.randint(1, 5)
+            if k % 3 == 0:
+                words = list(generate_two_extremal(d, rng.randrange(1000)).codes)
+            elif k % 3 == 1:
+                g = random_genome(random_alphabet(rng, max_pairs=3), d, rng,
+                                  size=rng.randint(1, 1 << d))
+                words = list(mutate_genome(g, rng, moves=rng.randint(0, 3)).codes)
+            else:  # any words, repeats included
+                letters = range(2, 2 * rng.randint(1, 3) + 2)
+                words = [tuple(rng.choice(letters) for _ in range(d))
+                         for _ in range(rng.randint(0, 12))]
+            classes = kernel.complement_classes(words)
+            assert classes == pairwise_classes(words, (1,) * d), words
+            sizes.update(min(len(c), 3) for c in classes)
+        assert sizes[1] >= 300 and sizes[2] >= 1000 and sizes[3] >= 150
 
 
 class TestComplete:
@@ -484,7 +520,7 @@ class TestSameExpansion:
         for v, w, flip in self.pairs(rng, 1500):
             for stars in (False, True):
                 calls.clear()
-                verdict = kernel.same_expansion(v, w, flip, stars)
+                verdict = kernel.same_expansions(v, w, flip, (stars,))[0]
                 if calls["_glue"]:
                     decided["expanded" if calls["expand"] else "glued"] += 1
                 assert verdict == same_by_expanding(v, w, flip, stars), (v, w, flip)
@@ -495,7 +531,7 @@ class TestSameExpansion:
     def test_both_modes_at_once_match_two_calls(self, monkeypatch):
         # same_expansions cancels and glues once for both modes; each
         # verdict, or the first error and its message, must be what one
-        # same_expansion call per mode gives, at every budget up to one bit
+        # same_expansions call per mode gives, at every budget up to one bit
         # past what the larger side's expansion with stars needs
         glued = []
         glue = kernel._glue
@@ -534,7 +570,7 @@ class TestSameExpansion:
                     once = len(glued)
                     glued.clear()
                     each = outcome(budget, lambda: tuple(
-                        kernel.same_expansion(a, b, flip, stars)
+                        kernel.same_expansions(a, b, flip, (stars,))[0]
                         for stars in (False, True)
                     ))
                     assert both == each, (a, b, budget)
@@ -544,9 +580,9 @@ class TestSameExpansion:
                         assert 2 * once == len(glued) == 4
                     if isinstance(each[0], bool):
                         seen[each] += 1
-                    elif isinstance(outcome(budget, lambda: kernel.same_expansion(
-                        a, b, flip
-                    )), bool):
+                    elif isinstance(outcome(budget, lambda: kernel.same_expansions(
+                        a, b, flip, (False,)
+                    )[0]), bool):
                         seen["index refused"] += 1
                     else:
                         seen["canon refused"] += 1
@@ -604,7 +640,7 @@ class TestSameExpansion:
             assert verdict == (suit_union_set(f) == suit_union_set(g))
             verdicts["oracle", verdict] += 1
         assert min(verdicts.values()) >= 10 and len(verdicts) == 4
-        # the routes through same_expansion do glue a matching residue
+        # the routes through same_expansions do glue a matching residue
         with pytest.raises(AssertionError, match="glued"):
             equivalent_by_index(v, v)
 
@@ -613,11 +649,11 @@ class TestSameExpansion:
         w = [(6,), (5,), (3,), (2,), (5,)]
         for stars in (False, True):
             assert same_by_expanding(v, w, (7,), stars)
-            assert kernel.same_expansion(v, w, (7,), stars)
-            assert not kernel.same_expansion(v + [(5,)], w, (7,), stars)
-        assert kernel.same_expansion([], [], (1, 1))
-        assert kernel.same_expansion([(2,), (3,)], [(1,)], (1,))
-        assert not kernel.same_expansion([(2,), (3,)], [], (1,))
+            assert kernel.same_expansions(v, w, (7,), (stars,))[0]
+            assert not kernel.same_expansions(v + [(5,)], w, (7,), (stars,))[0]
+        assert kernel.same_expansions([], [], (1, 1), (False,))[0]
+        assert kernel.same_expansions([(2,), (3,)], [(1,)], (1,), (False,))[0]
+        assert not kernel.same_expansions([(2,), (3,)], [], (1,), (False,))[0]
 
     def test_refutes_without_expanding(self, monkeypatch):
         def refuse(*args):
@@ -630,23 +666,23 @@ class TestSameExpansion:
             assert not same_by_expanding(v, w, flip, stars)
         monkeypatch.setattr(kernel, "expand", refuse)
         for stars in (False, True):
-            assert not kernel.same_expansion(v, w, flip, stars)
+            assert not kernel.same_expansions(v, w, flip, (stars,))[0]
         # equal residues are glued first: the twins (2, 3, 5) and (3, 3, 5)
         # glue into the starred word (1, 3, 5)
         for stars in (False, True):
-            assert kernel.same_expansion(
-                [(2, 3, 5), (3, 3, 5)], [(1, 3, 5)], flip, stars
-            )
+            assert kernel.same_expansions(
+                [(2, 3, 5), (3, 3, 5)], [(1, 3, 5)], flip, (stars,)
+            )[0]
         # twin-free sides with equal expansions still reach expand
         v, w, flip = [(1, 3), (3, 2)], [(3, 1), (2, 3)], (1, 1)
         assert not twin_pairs(v, flip) and not twin_pairs(w, flip)
         for stars in (False, True):
             with pytest.raises(AssertionError, match="expanded"):
-                kernel.same_expansion(v, w, flip, stars)
+                kernel.same_expansions(v, w, flip, (stars,))[0]
         monkeypatch.undo()
         for stars in (False, True):
             assert same_by_expanding(v, w, flip, stars)
-            assert kernel.same_expansion(v, w, flip, stars)
+            assert kernel.same_expansions(v, w, flip, (stars,))[0]
 
     def test_budget_refuses_before_any_work(self):
         v = [(2,) * 8, (3,) * 8]  # 2^8 + 1 terms, or 2 * 2^8 with stars
@@ -657,7 +693,7 @@ class TestSameExpansion:
                 run_with_budget(7, kernel.expand, first, flip, stars)
                 run_with_budget(7, kernel.expand, second, flip, stars)
             with pytest.raises(BudgetExceeded) as got:
-                run_with_budget(7, kernel.same_expansion, first, second, flip, stars)
+                run_with_budget(7, kernel.same_expansions, first, second, flip, (stars,))
             assert str(got.value) == str(expected.value)
         assert str(got.value) == "expansion needs log2 terms = 8 <= budget 7"
 
