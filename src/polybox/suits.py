@@ -5,6 +5,11 @@ subsets whose product meets G in odd cardinality.  Its cardinality divided
 by 2^(|X|_1 - 2d) is the box number |G|_0: for a polybox it equals the size
 of every minimal partition into proper boxes, and a partition is minimal
 exactly when it is a suit.
+
+A point set's fingerprint is counted over GF(2), where |G ∩ A| mod 2 is
+linear in each factor subset: of one n-element factor's odd subsets, 0,
+2^(n-2) or 2^(n-1) meet G oddly, as G's parity vector over it is zero,
+other, or all ones (exact, as any other vector is independent of all ones).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
-from operator import and_, getitem, ne
+from operator import and_, getitem, mul, ne, xor
 from typing import Iterator, Optional, Sequence, Union
 
 from . import words as kernel
@@ -137,34 +142,42 @@ def _point_tables(g: PointSet) -> tuple[list[Point], list[list[int]]]:
 
 
 def _hat_of_points(g: PointSet) -> int:
-    """Raw parity counting over all tuples of odd-size factor subsets.
+    """Fingerprint size of a point set by a GF(2) transform collapsing its
+    largest factor L, of n elements.
 
-    A tuple contributes when the AND of its slab bitsets has odd popcount.
-    Subtrees with an empty partial AND are skipped whole.
+    With the other odd subsets fixed, |G ∩ A| mod 2 is <a, v> over L's odd
+    subsets a, v the parity vector over L of G's points in their product:
+    none meet G oddly when v = 0, all 2^(n-1) when v is all ones, and
+    2^(n-2) otherwise, v and all ones being independent.  The table starts
+    as G's fiber masks over L; per other factor, innermost first, its
+    columns give way to the XORs of its odd column subsets (a smaller one
+    plus its lowest column), on a new outermost axis; so each final entry
+    is one tuple's v.  It ends with
+    prod_{i != L} 2^(n_i - 1) <= 2^(|X|_1 - n - d + 1) entries, no step
+    holds three times that or does twice that work, so |X|_1 bounds both.
     """
-    pts, tables = _point_tables(g)
-    if not pts:
-        return 0
-    per_factor = [
-        [table[mask] for mask in range(1, len(table)) if mask.bit_count() & 1]
-        for table in tables
-    ]
-
-    d = g.space.d
-    count = 0
-
-    def rec(i: int, acc: int):
-        nonlocal count
-        if i == d:
-            count += acc.bit_count() & 1
-            return
-        for pm in per_factor[i]:
-            nacc = acc & pm
-            if nacc:
-                rec(i + 1, nacc)
-
-    rec(0, (1 << len(pts)) - 1)
-    return count
+    dims = g.space.dims
+    big = dims.index(max(dims))
+    others = [i for i in reversed(range(len(dims))) if i != big]
+    strides, table = [0] * len(dims), [0]
+    for i in others:
+        strides[i] = len(table)
+        table *= dims[i]
+    for p in g.members:
+        table[sum(map(mul, p, strides))] |= 1 << p[big]
+    for i in others:
+        n = dims[i]
+        columns = [table[y::n] for y in range(n)]
+        subsets: list = [None]
+        table = []
+        for m in range(1, 1 << n):
+            column, rest = columns[(m & -m).bit_length() - 1], m & (m - 1)
+            subsets.append(list(map(xor, subsets[rest], column)) if rest else column)
+            if m.bit_count() & 1:
+                table += subsets[m]
+    n = dims[big]
+    # (len - zeros - ones) 2^(n-2) + ones 2^(n-1), every factor having n >= 2
+    return (len(table) - table.count(0) + table.count((1 << n) - 1)) << n - 2
 
 
 def hat_cardinality(g: Union[PointSet, Box, Suit]) -> int:

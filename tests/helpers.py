@@ -4,9 +4,10 @@ Nothing here shares a decision route with the functions it checks, and
 nothing imports the word kernel (polybox.words), so the library's fast
 paths are checked against a second route, not against themselves.  The
 little oracles recompute definitions by set algebra over explicit member
-tuples, with no bit tricks.  The rigidity witness and the orientation
-check of induced decompositions are kept here in their pairwise form,
-comparing words letter by letter.  Minimality is a full backtracking search over
+tuples, with no bit tricks; `bitset_hat` is the fingerprint's former
+slab-bitset count, with its own tables.  The rigidity witness and the
+orientation check of induced decompositions are kept here in their
+pairwise form, comparing words letter by letter.  Minimality is a full backtracking search over
 all proper-box partitions.  The cover relation is containment inside the
 one-letter-per-pair selection space, computed from explicit selection bit
 masks, or in one seeded exact realization.  The serializers and
@@ -101,6 +102,39 @@ def brute_hat(space: BoxSpace, members: Iterable[tuple[int, ...]]) -> int:
             1 for p in member_set if all(x in s for x, s in zip(p, t))
         )
         count += overlap % 2
+    return count
+
+
+def bitset_hat(space: BoxSpace, members: Iterable[tuple[int, ...]]) -> int:
+    """The same count by slab bitsets over the sorted points: a tuple of
+    odd-size factor subsets counts when the AND of its slabs has odd
+    popcount, and a subtree whose partial AND is empty is skipped whole."""
+    pts = sorted(members)
+    if not pts:
+        return 0
+    per_factor = []
+    for i, n in enumerate(space.dims):
+        elem = [0] * n
+        for k, x in enumerate(pts):
+            elem[x[i]] |= 1 << k
+        table = [0] * (1 << n)
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            table[mask] = table[mask ^ low] | elem[low.bit_length() - 1]
+        per_factor.append([table[m] for m in range(1, 1 << n) if m.bit_count() & 1])
+    count = 0
+
+    def rec(i: int, acc: int):
+        nonlocal count
+        if i == space.d:
+            count += acc.bit_count() & 1
+            return
+        for pm in per_factor[i]:
+            nacc = acc & pm
+            if nacc:
+                rec(i + 1, nacc)
+
+    rec(0, (1 << len(pts)) - 1)
     return count
 
 

@@ -26,10 +26,12 @@ from polybox import (
     union_points,
     verify_suit,
 )
+from polybox import suits
 from polybox import words as kernel
 from polybox.boxes import is_dichotomous
 from polybox.suits import Suit, _last_box, _line_options, _point_tables
 from polybox.errors import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
     NotAPartition,
     NotDichotomous,
@@ -46,7 +48,12 @@ from generate import (
 )
 
 from conftest import boxes, spaces
-from helpers import brute_hat, enumerate_min_partitions, exhaustive_min_partition
+from helpers import (
+    bitset_hat,
+    brute_hat,
+    enumerate_min_partitions,
+    exhaustive_min_partition,
+)
 
 
 def bx(dims, *sets):
@@ -162,6 +169,108 @@ class TestHatCardinality:
             density = rng.random()
             members = frozenset(p for p in space.points() if rng.random() < density)
             assert hat_cardinality(PointSet(space, members)) == brute_hat(space, members)
+
+
+def _fuzz_space(rng: random.Random) -> tuple[BoxSpace, str]:
+    """d = 1..6 factors, |X|_1 <= 16, and where the largest factor sits."""
+    d = rng.randint(1, 6)
+    dims = [2] * d
+    for _ in range(rng.randint(0, 16 - 2 * d)):
+        dims[rng.randrange(d)] += 1
+    top = max(dims)
+    at = [i for i, n in enumerate(dims) if n == top]
+    if d == 1:
+        where = "alone"
+    elif len(at) > 1:
+        where = "tied"
+    else:
+        where = "first" if at[0] == 0 else "last" if at[0] == d - 1 else "middle"
+    return BoxSpace(tuple(dims)), where
+
+
+def _fuzz_members(space: BoxSpace, shape: str, rng: random.Random) -> frozenset:
+    pts = list(space.points())
+    if shape == "empty":
+        return frozenset()
+    if shape == "full":
+        return frozenset(pts)
+    if shape == "point":
+        return frozenset([rng.choice(pts)])
+    if shape == "box":
+        factors = tuple(rng.randint(1, full) for full in space.full_masks)
+        return frozenset(Box(space, factors).points())
+    density = rng.random()
+    return frozenset(p for p in pts if rng.random() < density)
+
+
+class TestHatAgainstBitsets:
+    """The GF(2) count against the slab-bitset count it replaced."""
+
+    SHAPES = ("empty", "full", "point", "box", "random", "random")
+
+    def test_seeded_fuzz(self):
+        rng = random.Random(3001)
+        seen = Counter()
+        for _ in range(1200):
+            space, where = _fuzz_space(rng)
+            shape = rng.choice(self.SHAPES)
+            members = _fuzz_members(space, shape, rng)
+            got = hat_cardinality(PointSet(space, members))
+            assert got == bitset_hat(space, members), (space.dims, shape, sorted(members))
+            seen[where] += 1
+            seen[shape] += 1
+            seen[space.d] += 1
+        assert min(seen[k] for k in ("first", "middle", "last", "tied")) > 100, seen
+        assert min(seen[k] for k in self.SHAPES) > 150, seen
+        assert min(seen[d] for d in range(1, 7)) > 100, seen
+
+    @pytest.mark.parametrize("dims", [(8, 8, 8), (4,) * 6, (2,) * 12])
+    def test_random_half_at_the_default_budget(self, dims):
+        space = BoxSpace(dims)
+        assert space.size_sum == DEFAULT_BUDGET
+        rng = random.Random(0)
+        members = frozenset(p for p in space.points() if rng.random() < 0.5)
+        assert hat_cardinality(PointSet(space, members)) == bitset_hat(space, members)
+
+    def test_over_the_budget_refuses_before_any_table(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a table was built past the budget check")
+
+        monkeypatch.setattr(suits, "_hat_of_points", unreachable)
+        monkeypatch.setattr(suits, "_point_tables", unreachable)
+        space = BoxSpace((13, 12))
+        g = PointSet(space, frozenset({(0, 0), (12, 11), (5, 3)}))
+        message = "^fingerprint enumeration needs \\|X\\|_1 = 25 <= budget 24$"
+        for fn in (hat_cardinality, box_number, is_polybox, proper_suit_for):
+            with pytest.raises(BudgetExceeded, match=message):
+                fn(g)
+
+
+class TestTableBuilds:
+    """box_number builds no slab table, and proper_suit_for builds one."""
+
+    def test_box_number_none_and_the_search_one(self, monkeypatch, rng):
+        calls = []
+        tables = suits._point_tables
+
+        def counting(g):
+            calls.append(g)
+            return tables(g)
+
+        monkeypatch.setattr(suits, "_point_tables", counting)
+        space = BoxSpace((3, 3, 3))
+        unions = [union_points(random_proper_suit(space, rng)) for _ in range(10)]
+        no_polybox = PointSet(S33, frozenset({(0, 0), (0, 2), (1, 1), (2, 0)}))
+        non_integral = PointSet(S33, frozenset({(0, 0), (1, 1)}))
+        for g in unions + [no_polybox, non_integral, PointSet(S33, frozenset())]:
+            b0 = box_number(g)
+            assert not calls
+            suit = proper_suit_for(g)
+            # the search, and so its table, runs only for a positive integer
+            assert calls == ([g] if b0.denominator == 1 and b0 > 0 else [])
+            assert (suit is not None) == (g in unions)
+            calls.clear()
+        assert box_number(no_polybox) == 2 and box_number(non_integral) == Fraction(3, 2)
 
 
 class TestBoxNumber:
