@@ -239,6 +239,40 @@ def _last_box(
     return None
 
 
+def _last_pair(
+    tables: list[list[int]], full: tuple[int, ...], rem: int, anchor: Point, chosen: list
+) -> Optional[list[tuple[int, ...]]]:
+    """rem as two proper boxes [B, C], B through the anchor, dichotomous to
+    every chosen box; [] if none; None if rem is one box.  Two dichotomous
+    boxes are complementary at some factor i: rem's extent there is full and
+    each slab across i is a box of one of their two shapes.  Two others making
+    rem would be complementary at i too (a slab meeting both would have a full
+    extent), so the first proper pair read off a full factor is the only one."""
+    masks = [_extent(t, rem) for t in tables]
+    if rem.bit_count() == math.prod(map(int.bit_count, masks)):
+        return None
+    for i, (t, f) in enumerate(zip(tables, full)):
+        slabs = [rem & t[1 << y] for y in range(f.bit_length())]
+        if masks[i] != f or len(set(map(int.bit_count, slabs))) > 2:
+            continue
+        others = tables[:i] + tables[i + 1 :]
+        groups: dict[tuple[int, ...], int] = {}
+        for y, slab in enumerate(slabs):
+            shape = tuple([_extent(u, slab) for u in others])
+            groups[shape] = groups.get(shape, 0) | 1 << y
+            size = math.prod(map(int.bit_count, shape))
+            if slab.bit_count() != size or len(groups) > 2:
+                break
+        else:  # two groups, as one would make rem one box
+            pair = [s[:i] + (m,) + s[i:] for s, m in groups.items()]
+            if all(all(map(ne, b, full)) for b in pair):
+                if not pair[0][i] >> anchor[i] & 1:
+                    pair.reverse()
+                ok = all(kernel.dichotomous(b, c, full) for b in pair for c in chosen)
+                return pair if ok else []
+    return []
+
+
 def is_polybox(g: PointSet) -> bool:
     """True iff g admits a partition into proper boxes of size |g|_0."""
     return proper_suit_for(g) is not None
@@ -255,14 +289,16 @@ def proper_suit_for(g: PointSet) -> Optional[Suit]:
     least uncovered point) dichotomous to every box chosen, as listed by
     `words._hitting`.  Point sets are bitsets over g's sorted points.
 
-    Two prunes drop only boxes that cannot be in the partition, so the first
-    partition found stays the same.  The line filter offers, per factor,
-    only masks inside the anchor's uncovered line (`_line_options`): a box
-    with any other coordinate there holds a point outside rem, which the
-    box test rejects.  With one box left, that box must be the uncovered
+    Three prunes drop only boxes that cannot be in the partition, so the
+    first partition found stays the same.  The line filter offers, per
+    factor, only masks inside the anchor's uncovered line (`_line_options`):
+    a box with any other coordinate there holds a point outside rem, which
+    the box test rejects.  With one box left, that box must be the uncovered
     points themselves, and only their bounding box can be; so the node tests
-    that box alone (`_last_box`) and lists no candidate.  The partition
-    found is a suit, so its validation fails only on an internal bug.
+    that box alone (`_last_box`) and lists no candidate.  Two boxes left are
+    dichotomous, so unless rem is one box, they are the only proper pair
+    making rem, read off its slabs across a full factor (`_last_pair`).  The
+    partition found is a suit, so its validation fails only on an internal bug.
     """
     if not g.members:
         return None
@@ -284,6 +320,11 @@ def proper_suit_for(g: PointSet) -> Optional[Suit]:
                 out.append(last)
             return last is not None
         anchor = pts[(rem & -rem).bit_length() - 1]
+        if left == 2:
+            pair = _last_pair(tables, full, rem, anchor, out)
+            if pair is not None:
+                out.extend(pair)
+                return bool(pair)
         opts = _line_options(tables, full, rem, anchor)
         for masks in kernel._hitting(opts, out, full, kernel._hits(out, full)):
             box = reduce(and_, map(getitem, tables, masks), rem)

@@ -6,7 +6,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from operator import and_, getitem
+from operator import and_, getitem, or_
 
 import pytest
 from hypothesis import given, settings
@@ -29,7 +29,7 @@ from polybox import (
 from polybox import suits
 from polybox import words as kernel
 from polybox.boxes import is_dichotomous
-from polybox.suits import Suit, _last_box, _line_options, _point_tables
+from polybox.suits import Suit, _last_box, _last_pair, _line_options, _point_tables
 from polybox.errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -542,10 +542,11 @@ def _search_state(rng, max_dim=4, max_d=4):
 
 
 class TestSearchPrunes:
-    """The line filter and the last-box shortcut of `proper_suit_for`'s
-    search against the routes they replaced, kept here as the references:
-    the full mask lists through the anchor, and the first `words._hitting`
-    candidate whose box is exactly the uncovered points."""
+    """The line filter, the last-box shortcut and the two-box step of
+    `proper_suit_for`'s search against the routes they replaced, kept here
+    as the references: the full mask lists through the anchor, the first
+    `words._hitting` candidate whose box is exactly the uncovered points,
+    and the first one whose remainder `_last_box` accepts."""
 
     def test_line_filter_drops_only_boxes_that_fail(self):
         rng = random.Random(2419)
@@ -603,6 +604,43 @@ class TestSearchPrunes:
             classes[want is None, bool(chosen)] += 1
         assert min(classes.values()) > 50 and len(classes) == 4, classes
 
+    def test_last_pair_is_the_first_candidate_leaving_a_last_box(self):
+        rng = random.Random(2421)
+        classes = Counter()
+        for _ in range(900):
+            space, g, rem = _search_state(rng, max_dim=3)
+            full = space.full_masks
+            pts, tables = _point_tables(g)
+            chosen = [
+                tuple(map(rng.randrange, [1] * space.d, full)) for _ in range(rng.randint(0, 4))
+            ]
+            if rng.random() < 0.6:
+                # rem is two dichotomous boxes of a suit, the others in it
+                # chosen or not
+                boxes = [b.factors for b in random_suit_for_space(space, rng).boxes]
+                rng.shuffle(boxes)
+                chosen = boxes[2 : rng.randint(2, len(boxes))]
+                pts, tables = _point_tables(PointSet.full(space))
+                rem = reduce(or_, (reduce(and_, map(getitem, tables, b)) for b in boxes[:2]))
+            anchor = pts[(rem & -rem).bit_length() - 1]
+            old = [[m for m in range(1, f) if m >> x & 1] for x, f in zip(anchor, full)]
+            pairs = []
+            for c in kernel._hitting(old, chosen, full, kernel._hits(chosen, full)):
+                if _fits(tables, rem, c):
+                    box = reduce(and_, map(getitem, tables, c), rem)
+                    last = _last_box(tables, full, rem ^ box, chosen + [c])
+                    if last is not None:
+                        pairs.append([c, last])
+            got = _last_pair(tables, full, rem, anchor, chosen)
+            extent = [{p[i] for k, p in enumerate(pts) if rem >> k & 1} for i in range(space.d)]
+            one_box = rem.bit_count() == math.prod(map(len, extent))
+            assert (got is None) == one_box, (space.dims, rem, chosen)
+            if not one_box:
+                # the first pair is the only one
+                assert [got] == pairs if got else not pairs, (space.dims, rem, chosen)
+            classes["one box" if one_box else "pair" if pairs else "no pair"] += 1
+        assert min(classes.values()) >= 50 and len(classes) == 3, classes
+
 
 class TestLastBoxShortcut:
     """With one box left the search tests the uncovered points' bounding box
@@ -654,6 +692,16 @@ class TestLastBoxShortcut:
             assert _last_box(tables, S33.full_masks, (1 << len(pts)) - 1, []) is None
         assert not listed
 
+    def test_two_boxes_left_list_no_candidate(self, listed):
+        # a 2-box union that is not one box gets its suit back
+        pair = [bx([3, 3], {0}, {0, 1}), bx([3, 3], {1, 2}, {0})]
+        g = union_points(verify_suit(pair))
+        assert masks(proper_suit_for(g)) == masks(pair)
+        # an integral non-polybox with |G|_0 = 2 and both extents full
+        g = PointSet(S33, frozenset({(0, 0), (0, 2), (1, 1), (2, 0)}))
+        assert box_number(g) == 2 and proper_suit_for(g) is None
+        assert not listed
+
 
 class TestSearchMatchesOracle:
     """proper_suit_for returns the oracle's first minimal partition: both
@@ -666,6 +714,23 @@ class TestSearchMatchesOracle:
         for pts in unions:
             g = PointSet(S33, pts)
             assert masks(proper_suit_for(g)) == masks(enumerate_min_partitions(g)[0])
+
+    def test_every_two_box_union_in_4x3(self):
+        unions = all_suit_unions(BoxSpace((4, 3)), 2)
+        assert len(unions) == 818  # 84 proper boxes, 734 unions of two
+        for pts in unions:
+            g = PointSet(BoxSpace((4, 3)), pts)
+            assert masks(proper_suit_for(g)) == masks(enumerate_min_partitions(g)[0])
+
+    def test_every_set_of_box_number_two_in_3x3(self):
+        pts = sorted(S33.points())
+        seen = 0
+        for bits in range(1, 1 << len(pts)):
+            g = PointSet(S33, frozenset(p for k, p in enumerate(pts) if bits >> k & 1))
+            if box_number(g) == 2:
+                assert is_polybox(g) == (exhaustive_min_partition(g) == 2)
+                seen += 1
+        assert seen == 246
 
     @pytest.mark.parametrize("dims", [(4, 3), (2, 3, 4), (3, 3, 3)])
     def test_seeded_sub_suit_unions(self, dims, rng):
@@ -708,7 +773,7 @@ def _sub_suit_union(dims, k, rng):
 
 
 # Seeded 6-box unions in 4^4, the search's tail; seed 6, the slowest, takes
-# about 0.8 s on a 2-CPU machine.
+# 0.8 to 1.35 s on a shared 2-CPU machine.
 TAIL_SEEDS = (1, 2, 3, 4, 5, 6, 7, 8)
 
 
